@@ -42,7 +42,13 @@ def class_color(cls: int):
 
 
 def _setup_threads(argv):
-    """Pin BLAS/OpenMP pools before numpy is imported anywhere."""
+    """Pin BLAS/OpenMP pools before numpy is imported anywhere.
+
+    This only sets environment variables, which the pools read when numpy
+    loads. The pin therefore applies only when hsiduo is the process entry
+    point (`python -m hsiduo`); a caller that has already imported numpy
+    keeps the thread counts it started with.
+    """
     threads = os.environ.get("HSIDUO_THREADS")
     for i, arg in enumerate(argv):
         if arg == "--threads" and i + 1 < len(argv):
@@ -103,35 +109,46 @@ def build_parser() -> argparse.ArgumentParser:
 # pipeline shared by train/trial/map
 
 
+def _patch_stacks(std_array, rows, cols, patch_size):
+    """Real patches and their band-wise FFTs, all three in std_array's dtype."""
+    from . import data, spectral
+
+    xr = data.extract_patches_array(std_array, rows, cols, patch_size)
+    xc_re, xc_im = spectral.bandwise_fft_arrays(xr)
+    return xr, xc_re.astype(std_array.dtype, copy=False), xc_im.astype(std_array.dtype, copy=False)
+
+
 def build_patchset(std_array, samples, patch_size):
-    """Extract real patches and their band-wise FFTs for a sample set."""
+    """Patch stacks plus labels for a sample set."""
     import numpy as np
 
-    from .data import extract_patches_array
-    from .spectral import bandwise_fft_arrays
     from .train import PatchSet
 
-    xr = extract_patches_array(std_array, samples.rows, samples.cols, patch_size)
-    xc_re, xc_im = bandwise_fft_arrays(xr)
-    xc_re = xc_re.astype(std_array.dtype, copy=False)
-    xc_im = xc_im.astype(std_array.dtype, copy=False)
-    return PatchSet(xr, xc_re, xc_im, np.asarray(samples.labels, dtype=np.int32))
+    stacks = _patch_stacks(std_array, samples.rows, samples.cols, patch_size)
+    return PatchSet(*stacks, np.asarray(samples.labels, dtype=np.int32))
 
 
 def predict_samples(model, std_array, rows, cols, patch_size, chunk=256):
     """Streamed prediction; returns 1-based class labels."""
     import numpy as np
 
-    from .data import extract_patches_array
-    from .spectral import bandwise_fft_arrays
-
     out = np.zeros(rows.shape[0], dtype=np.int32)
     for lo in range(0, rows.shape[0], chunk):
         hi = min(lo + chunk, rows.shape[0])
-        xr = extract_patches_array(std_array, rows[lo:hi], cols[lo:hi], patch_size)
-        xc_re, xc_im = bandwise_fft_arrays(xr)
-        out[lo:hi] = model.predict_batch(xr, xc_re, xc_im) + 1
+        stacks = _patch_stacks(std_array, rows[lo:hi], cols[lo:hi], patch_size)
+        out[lo:hi] = model.predict_batch(*stacks) + 1
     return out
+
+
+def _check_scene(cube, label_map):
+    """The label map must cover the cube pixel for pixel."""
+    from .errors import DataError
+
+    if (label_map.height, label_map.width) != (cube.height, cube.width):
+        raise DataError(
+            f"labels: {label_map.height}x{label_map.width} label map does not match "
+            f"the {cube.height}x{cube.width} cube"
+        )
 
 
 def run_training(cube, label_map, config, seed: int):
@@ -149,6 +166,7 @@ def run_training(cube, label_map, config, seed: int):
     from .train import fit
 
     config.validate()
+    _check_scene(cube, label_map)
     n_classes = label_map.n_classes
     if n_classes < 2:
         raise DataError(f"need at least 2 labeled classes, found {n_classes}")
@@ -375,6 +393,7 @@ def cmd_map(args) -> int:
     config = model.config
     cube = load_cube(args.cube)
     label_map = load_labels(args.labels)
+    _check_scene(cube, label_map)
     if config.pca_components > cube.bands:
         raise ConfigError(
             f"checkpoint expects {config.pca_components} components but cube has {cube.bands} bands"

@@ -129,8 +129,8 @@ def _read_header(header_path: str) -> dict:
 
 def _read_payload(header_path: str, header: dict, expected_bytes: int) -> bytes:
     data_name = header.get("data")
-    if not data_name:
-        raise IngestionError(f"header {header_path} missing 'data' entry")
+    if not isinstance(data_name, str) or not data_name:
+        raise IngestionError(f"header {header_path}: 'data' must name the payload file, got {data_name!r}")
     payload_path = os.path.join(os.path.dirname(header_path), data_name)
     if not os.path.exists(payload_path):
         raise IngestionError(f"payload not found: {payload_path}")
@@ -156,7 +156,9 @@ def load_cube(header_path: str) -> HsiCube:
         raise IngestionError(f"unsupported interleave {header.get('interleave')!r}")
     raw = _read_payload(header_path, header, h * w * b * 4)
     arr = np.frombuffer(raw, dtype=_CUBE_DTYPES[dtype]).reshape(b, h, w)
-    values = arr.transpose(1, 2, 0).astype(np.float64)
+    # one pass from BSQ float32 to row-major float64; read-only, so Tensor keeps it
+    values = arr.transpose(1, 2, 0).astype(np.float64, order="C")
+    values.flags.writeable = False
     return HsiCube(Tensor.from_array(values))
 
 
@@ -322,22 +324,16 @@ def standardize(reduced: Tensor) -> Tensor:
 # patch extraction
 
 
-def extract_patch(reduced: Tensor, row: int, col: int, patch_size: int) -> Tensor:
-    """S x S window with the target pixel at (S/2, S/2), zero padded."""
-    if len(reduced.shape) != 3:
-        raise DimensionError(f"extract_patch expects [H,W,P], got {reduced.shape}")
-    h, w, _ = reduced.shape
-    if not (0 <= row < h and 0 <= col < w):
-        raise DimensionError(f"pixel ({row},{col}) out of bounds for {h}x{w}")
+def extract_patches_array(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray, patch_size: int):
+    """Batched zero-padded window copy: [N, S, S, P], each S x S window
+    with its target pixel at (S/2, S/2)."""
+    if arr.ndim != 3:
+        raise DimensionError(f"patch extraction expects [H,W,P], got {arr.shape}")
+    h, w, p = arr.shape
+    if rows.size and not (0 <= rows.min() and rows.max() < h and 0 <= cols.min() and cols.max() < w):
+        raise DimensionError(f"patch centres out of bounds for {h}x{w}")
     if patch_size < 2 or (patch_size & (patch_size - 1)) != 0:
         raise DimensionError(f"patch_size must be an even power of two, got {patch_size}")
-    out = extract_patches_array(reduced.as_array(), np.array([row]), np.array([col]), patch_size)
-    return Tensor.from_array(out[0])
-
-
-def extract_patches_array(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray, patch_size: int):
-    """Batched zero-padded window copy: [N, S, S, P]."""
-    h, w, p = arr.shape
     half = patch_size // 2
     n = rows.shape[0]
     out = np.zeros((n, patch_size, patch_size, p), dtype=arr.dtype)

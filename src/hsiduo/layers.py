@@ -5,9 +5,9 @@ Convolutions use valid padding and the cross-correlation convention
 split re/im weights; their arithmetic is the complex multiply-accumulate
 (Kr + i*Ki)(Xr + i*Xi) = (Kr*Xr - Ki*Xi) + i(Kr*Xi + Ki*Xr).
 
-Public ops take single-sample Tensors as defined by the module contract;
-the `*_batch` functions are the shared array kernels with a leading batch
-axis, used by the model and training loop.
+Every op is an array kernel with a leading batch axis; the model's
+forward pass and the training loop's backward pass call these and nothing
+else.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .tensor import ComplexTensor, Tensor, complex_to_real_channels, concat_channels
 
 
 def _as_float(arr) -> np.ndarray:
@@ -143,14 +142,6 @@ def conv3d_real_batch_backward(x: np.ndarray, kernels: np.ndarray, dout: np.ndar
     return dx, dk, db
 
 
-def conv3d_real(x: Tensor, p: ConvParams) -> Tensor:
-    """Linear part of a real 3D conv layer on a single [H,W,D,C] sample."""
-    if len(x.shape) != 4:
-        raise DimensionError(f"conv3d_real expects [H,W,D,C], got {x.shape}")
-    out = conv3d_real_batch(x.as_array()[None], p.kernels, p.bias)
-    return Tensor.from_array(out[0])
-
-
 # ---------------------------------------------------------------------------
 # complex 3D convolution (complex multiply-accumulate, split parts)
 
@@ -200,14 +191,6 @@ def conv3d_complex_batch_backward(xr, xi, p: ComplexConvParams, dre, dim):
     return dxr, dxi, dkr, dki, dbr, dbi
 
 
-def conv3d_complex(x: ComplexTensor, p: ComplexConvParams) -> ComplexTensor:
-    """Linear part of the complex 3D conv layer (activation applied separately)."""
-    if len(x.shape) != 4:
-        raise DimensionError(f"conv3d_complex expects [H,W,D,C], got {x.shape}")
-    out_re, out_im = conv3d_complex_batch(x.re_array()[None], x.im_array()[None], p)
-    return ComplexTensor.from_arrays(out_re[0], out_im[0])
-
-
 # ---------------------------------------------------------------------------
 # activations
 
@@ -216,26 +199,11 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def crelu(z: ComplexTensor) -> ComplexTensor:
-    """ReLU applied to the real and imaginary parts separately."""
-    return ComplexTensor.from_arrays(np.maximum(z.re_array(), 0.0), np.maximum(z.im_array(), 0.0))
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis."""
     shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, training: bool) -> np.ndarray:
-    """Inverted dropout: zero with probability rate, scale survivors by 1/(1-rate)."""
-    if not (0.0 <= rate < 1.0):
-        raise ConfigError(f"dropout rate must be in [0,1), got {rate}")
-    if not training or rate == 0.0:
-        return np.array(x, copy=True)
-    mask = rng.random(x.shape) >= rate
-    return x * mask / (1.0 - rate)
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -246,46 +214,7 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# stream fusion
-
-
-def fuse_streams(real_maps: Tensor, complex_maps: ComplexTensor) -> Tensor:
-    """Concatenate real features with the re/im realization of complex features."""
-    if len(real_maps.shape) != 3 or len(complex_maps.shape) != 3:
-        raise DimensionError("fuse_streams expects [H,W,C] maps")
-    if real_maps.shape[:2] != complex_maps.shape[:2]:
-        raise DimensionError(
-            f"spatial mismatch between streams: {real_maps.shape[:2]} vs {complex_maps.shape[:2]}"
-        )
-    return concat_channels(real_maps, complex_to_real_channels(complex_maps))
-
-
-# ---------------------------------------------------------------------------
 # squeeze-and-excitation
-
-
-def se_squeeze(u: Tensor) -> np.ndarray:
-    """Global average pooling: z_c = mean over the H*W positions of channel c."""
-    if len(u.shape) != 3:
-        raise DimensionError(f"se_squeeze expects [H,W,C], got {u.shape}")
-    return u.as_array().mean(axis=(0, 1))
-
-
-def se_excite(z: np.ndarray, p: SeParams) -> np.ndarray:
-    """Bottleneck gate: sigmoid(w2 @ relu(w1 @ z)), every output in (0,1)."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (p.w1.shape[1],):
-        raise DimensionError(f"squeeze vector length {z.shape} != C={p.w1.shape[1]}")
-    hidden = relu(p.w1 @ z)
-    return _sigmoid(p.w2 @ hidden)
-
-
-def se_scale(u: Tensor, s: np.ndarray) -> Tensor:
-    """Rescale each channel of u by its gate value."""
-    s = np.asarray(s, dtype=np.float64)
-    if len(u.shape) != 3 or s.shape != (u.shape[2],):
-        raise DimensionError(f"gate length {s.shape} != channel count {u.shape}")
-    return Tensor.from_array(u.as_array() * s)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -298,7 +227,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def se_forward_batch(u: np.ndarray, p: SeParams):
-    """SE block over [N,H,W,C]; returns output and the cache for backward."""
+    """SE block over [N,H,W,C]: squeeze z = mean over H*W, gate
+    s = sigmoid(w2 relu(w1 z)) in (0,1), output u * s per channel.
+    Returns the output and the cache for backward."""
     z = u.mean(axis=(1, 2))
     a1 = z @ p.w1.T
     h = relu(a1)
@@ -324,14 +255,6 @@ def se_backward_batch(u: np.ndarray, p: SeParams, cache, dout: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # dense head
-
-
-def dense(x: np.ndarray, p: DenseParams) -> np.ndarray:
-    """Affine map W x + b for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (p.weights.shape[1],):
-        raise DimensionError(f"dense input length {x.shape} != {p.weights.shape[1]}")
-    return p.weights @ x + p.bias
 
 
 def dense_batch(x: np.ndarray, p: DenseParams) -> np.ndarray:

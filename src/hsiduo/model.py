@@ -416,7 +416,10 @@ def load_checkpoint(manifest_path: str):
     if not os.path.exists(manifest_path):
         raise IngestionError(f"checkpoint manifest not found: {manifest_path}")
     with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise IngestionError(f"malformed checkpoint manifest {manifest_path}: {exc}") from exc
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise IngestionError(f"unknown checkpoint format {manifest.get('format')!r}")
     config = ModelConfig.from_json_dict(manifest["config"])
@@ -442,6 +445,12 @@ def load_checkpoint(manifest_path: str):
                 f"checkpoint layer {entry['name']}: shape {shape} incompatible with config {arr.shape}"
             )
         count = int(np.prod(shape))
-        vals = np.frombuffer(raw, dtype="<f4", count=count, offset=entry["offset"])
+        offset = entry["offset"]
+        if not isinstance(offset, int) or offset < 0 or offset + 4 * count > len(raw):
+            raise IngestionError(
+                f"checkpoint layer {entry['name']}: offset {offset!r} + {4 * count} bytes "
+                f"lies outside the {len(raw)}-byte payload"
+            )
+        vals = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
         arr[...] = vals.reshape(shape).astype(arr.dtype)
     return model, manifest.get("class_names")

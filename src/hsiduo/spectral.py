@@ -17,10 +17,6 @@ import math
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import ComplexTensor, Tensor
-
-FORWARD = "forward"
-INVERSE = "inverse"
 
 
 def _is_pow2(n: int) -> bool:
@@ -66,10 +62,11 @@ def get_plan(n: int) -> FftPlan:
     return plan
 
 
-def _fft_last_axis(re: np.ndarray, im: np.ndarray, inverse: bool):
-    """Transform along the last axis of same-shaped re/im arrays.
+def fft_last_axis(re: np.ndarray, im: np.ndarray, inverse: bool = False):
+    """Transform along the last axis of same-shaped re/im arrays; the
+    length must be a power of two.
 
-    Vectorized over all leading axes. Returns new arrays.
+    Vectorized over all leading axes. Returns new float64 arrays.
     """
     n = re.shape[-1]
     plan = get_plan(n)
@@ -100,62 +97,29 @@ def _fft_last_axis(re: np.ndarray, im: np.ndarray, inverse: bool):
     return re, im
 
 
-def fft_1d(x: ComplexTensor, direction: str = FORWARD) -> ComplexTensor:
-    """FFT of a length-n complex vector; n must be a power of two."""
-    if len(x.shape) != 1:
-        raise DimensionError(f"fft_1d expects a vector, got shape {x.shape}")
-    if direction not in (FORWARD, INVERSE):
-        raise DimensionError(f"unknown direction {direction!r}")
-    if not _is_pow2(x.shape[0]):
-        raise DimensionError(f"fft_1d length must be a power of two, got {x.shape[0]}")
-    re, im = _fft_last_axis(x.re_array(), x.im_array(), direction == INVERSE)
-    return ComplexTensor.from_arrays(re, im)
-
-
-def _fft2_arrays(re: np.ndarray, im: np.ndarray):
-    """2D transform over the last two axes: rows then columns."""
-    re, im = _fft_last_axis(re, im, inverse=False)
+def fft2_arrays(re: np.ndarray, im: np.ndarray):
+    """Forward 2D transform over the last two axes: rows then columns."""
+    re, im = fft_last_axis(re, im)
     re = np.swapaxes(re, -1, -2)
     im = np.swapaxes(im, -1, -2)
-    re, im = _fft_last_axis(re, im, inverse=False)
+    re, im = fft_last_axis(re, im)
     return np.swapaxes(re, -1, -2), np.swapaxes(im, -1, -2)
 
 
-def fft_2d(x: ComplexTensor) -> ComplexTensor:
-    """Forward 2D FFT of a square power-of-two complex matrix."""
-    if len(x.shape) != 2:
-        raise DimensionError(f"fft_2d expects a matrix, got shape {x.shape}")
-    s0, s1 = x.shape
-    if s0 != s1:
-        raise DimensionError(f"fft_2d expects a square matrix, got {x.shape}")
-    if not _is_pow2(s0):
-        raise DimensionError(f"fft_2d size must be a power of two, got {s0}")
-    re, im = _fft2_arrays(x.re_array(), x.im_array())
-    return ComplexTensor.from_arrays(re, im)
-
-
-def bandwise_fft(patch: Tensor) -> ComplexTensor:
-    """Per-band 2D FFT of an [S,S,C] real patch, scaled by 1/S^2.
+def bandwise_fft_arrays(patches: np.ndarray):
+    """Per-band 2D FFT of [..., S, S, C] real patches, scaled by 1/S^2.
 
     Bands never mix; the scaling keeps complex-patch magnitudes on the
     same order as the standardized real patch. DC stays at bin (0,0).
+    Returns the (re, im) pair in float64.
     """
-    if len(patch.shape) != 3:
-        raise DimensionError(f"bandwise_fft expects [S,S,C], got {patch.shape}")
-    s0, s1, _ = patch.shape
-    if s0 != s1 or not _is_pow2(s0):
-        raise DimensionError(f"bandwise_fft needs square power-of-two patches, got {patch.shape[:2]}")
-    re, im = bandwise_fft_arrays(patch.as_array())
-    return ComplexTensor.from_arrays(re, im)
-
-
-def bandwise_fft_arrays(patches: np.ndarray):
-    """Array fast path for bandwise_fft; accepts [..., S, S, C]."""
+    if patches.ndim < 3 or patches.shape[-3] != patches.shape[-2] or not _is_pow2(patches.shape[-3]):
+        raise DimensionError(f"bandwise FFT needs square power-of-two [S,S,C] patches, got {patches.shape}")
     s = patches.shape[-3]
     # move bands in front of the two spatial axes so the 2D transform
     # vectorizes across bands (and any batch axes)
     x = np.moveaxis(np.asarray(patches, dtype=np.float64), -1, -3)
-    re, im = _fft2_arrays(x, np.zeros_like(x))
+    re, im = fft2_arrays(x, np.zeros_like(x))
     scale = 1.0 / (s * s)
     re = np.moveaxis(re, -3, -1) * scale
     im = np.moveaxis(im, -3, -1) * scale

@@ -1,25 +1,19 @@
-"""Dense real and complex n-d arrays with flat row-major storage.
+"""Read-only real n-d arrays with flat row-major storage.
 
-Tensors are immutable after construction: the flat buffers are marked
-read-only, so values can be shared freely between threads. All shape
-algebra (strides, channel concatenation, reshape) is derived from the
-stored shape tuple.
+A Tensor is immutable after construction: its flat buffer is marked
+read-only, so values can be shared freely between threads. The data path
+(cube loading, PCA, standardization) hands its arrays around as Tensors;
+every other op works on plain numpy arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError
-
-
-def _prod(shape):
-    n = 1
-    for d in shape:
-        n *= d
-    return n
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -34,9 +28,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class Tensor:
     """Real n-d array: a shape tuple plus a flat row-major float buffer.
 
-    Storage is float64 in oracle/test mode; float32 is permitted for
-    fast training. Zero-sized dimensions are allowed (empty tensors),
-    which concat/fuse rely on for their identity cases.
+    Storage is float64, or float32 when built from a float32 array.
+    Zero-sized dimensions are allowed (empty tensors).
     """
 
     shape: tuple
@@ -52,139 +45,23 @@ class Tensor:
             data = data.reshape(-1)
         if data.dtype not in (np.float64, np.float32):
             data = data.astype(np.float64)
-        if data.size != _prod(shape):
+        if data.size != math.prod(shape):
             raise DimensionError(
-                f"flat data length {data.size} != product(shape)={_prod(shape)} for shape {shape}"
+                f"flat data length {data.size} != product(shape)={math.prod(shape)} for shape {shape}"
             )
         object.__setattr__(self, "data", _freeze(data))
 
     @staticmethod
     def from_array(arr) -> "Tensor":
+        """Wrap an array, copying at most once: no copy at all when it is
+        already read-only, C-ordered and float64/float32."""
         a = np.asarray(arr)
-        if a.dtype != np.float32:
-            a = a.astype(np.float64)
-        return Tensor(a.shape, a.reshape(-1))
+        out = np.asarray(a, dtype=np.float32 if a.dtype == np.float32 else np.float64, order="C")
+        if out is not a:
+            # a private conversion nobody else holds: freeze it in place
+            out.flags.writeable = False
+        return Tensor(a.shape, out.reshape(-1))
 
     def as_array(self) -> np.ndarray:
         """Row-major view of the buffer; read-only, no copy."""
         return self.data.reshape(self.shape)
-
-    def at(self, *idx) -> float:
-        return float(self.as_array()[idx])
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-
-@dataclass(frozen=True)
-class ComplexTensor:
-    """Complex n-d array stored as split re/im flat buffers.
-
-    Split storage keeps real-valued kernels and FFT butterflies on
-    contiguous runs and makes the complex-to-real channel conversion a
-    pair of copies.
-    """
-
-    shape: tuple
-    re: np.ndarray = field(repr=False)
-    im: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        shape = tuple(int(d) for d in self.shape)
-        object.__setattr__(self, "shape", shape)
-        re = np.asarray(self.re, dtype=np.float64).reshape(-1)
-        im = np.asarray(self.im, dtype=np.float64).reshape(-1)
-        if re.size != im.size or re.size != _prod(shape):
-            raise DimensionError(
-                f"re/im lengths ({re.size}, {im.size}) != product(shape)={_prod(shape)}"
-            )
-        object.__setattr__(self, "re", _freeze(re))
-        object.__setattr__(self, "im", _freeze(im))
-
-    @staticmethod
-    def from_real(t: Tensor) -> "ComplexTensor":
-        return ComplexTensor(t.shape, t.data.astype(np.float64), np.zeros(t.size))
-
-    @staticmethod
-    def from_arrays(re, im) -> "ComplexTensor":
-        re = np.asarray(re, dtype=np.float64)
-        im = np.asarray(im, dtype=np.float64)
-        if re.shape != im.shape:
-            raise DimensionError(f"re shape {re.shape} != im shape {im.shape}")
-        return ComplexTensor(re.shape, re.reshape(-1), im.reshape(-1))
-
-    def to_real(self) -> Tensor:
-        """Lossless round trip back to Tensor; requires all-zero im."""
-        if np.any(self.im != 0.0):
-            raise DimensionError("cannot convert ComplexTensor with nonzero imaginary part to Tensor")
-        return Tensor(self.shape, self.re.copy())
-
-    def re_array(self) -> np.ndarray:
-        return self.re.reshape(self.shape)
-
-    def im_array(self) -> np.ndarray:
-        return self.im.reshape(self.shape)
-
-    @property
-    def size(self) -> int:
-        return self.re.size
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(tuple(shape), np.zeros(_prod(tuple(shape))))
-
-
-def from_flat(shape, data) -> Tensor:
-    """Build a tensor from an explicit flat row-major buffer."""
-    shape = tuple(int(d) for d in shape)
-    data = np.asarray(data, dtype=np.float64).reshape(-1)
-    if data.size != _prod(shape):
-        raise DimensionError(
-            f"from_flat: got {data.size} values for shape {shape} (need {_prod(shape)})"
-        )
-    return Tensor(shape, data)
-
-
-def elementwise(x: Tensor, f) -> Tensor:
-    """Apply f independently to every element, preserving shape."""
-    vals = np.array([f(v) for v in x.data], dtype=np.float64)
-    return Tensor(x.shape, vals)
-
-
-def reshape(x: Tensor, new_shape) -> Tensor:
-    new_shape = tuple(int(d) for d in new_shape)
-    if _prod(new_shape) != x.size:
-        raise DimensionError(f"cannot reshape {x.shape} to {new_shape}")
-    return Tensor(new_shape, x.data.copy())
-
-
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two [H,W,C] maps along the channel axis."""
-    if len(a.shape) != 3 or len(b.shape) != 3:
-        raise DimensionError(f"concat_channels expects rank-3 tensors, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[1] != b.shape[1]:
-        raise DimensionError(f"spatial mismatch: {a.shape[:2]} vs {b.shape[:2]}")
-    out = np.concatenate([a.as_array(), b.as_array()], axis=2)
-    return Tensor.from_array(out)
-
-
-def slice_channels(x: Tensor, lo: int, hi: int) -> Tensor:
-    """Channel sub-range [lo, hi) of an [H,W,C] map."""
-    if len(x.shape) != 3:
-        raise DimensionError(f"slice_channels expects a rank-3 tensor, got {x.shape}")
-    if not (0 <= lo <= hi <= x.shape[2]):
-        raise DimensionError(f"channel range [{lo},{hi}) out of bounds for C={x.shape[2]}")
-    return Tensor.from_array(x.as_array()[:, :, lo:hi])
-
-
-def complex_to_real_channels(x: ComplexTensor) -> Tensor:
-    """Realize an [H,W,C] complex map as [H,W,2C]: re channels first, then im."""
-    if len(x.shape) != 3:
-        raise DimensionError(f"complex_to_real_channels expects rank-3, got {x.shape}")
-    out = np.concatenate([x.re_array(), x.im_array()], axis=2)
-    return Tensor.from_array(out)

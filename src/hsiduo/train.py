@@ -78,17 +78,6 @@ class TrainConfig:
 # loss
 
 
-def cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
-    """Categorical cross-entropy of one probability vector vs a one-hot target."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape or pred.ndim != 1:
-        raise DimensionError(f"cross_entropy: shapes {pred.shape} vs {target.shape}")
-    if abs(float(pred.sum()) - 1.0) > 1e-6:
-        raise DimensionError("cross_entropy: prediction does not sum to 1")
-    return float(-(target * np.log(np.maximum(pred, LOG_CLAMP))).sum())
-
-
 def cross_entropy_batch(probs: np.ndarray, onehot: np.ndarray) -> float:
     """Mean cross-entropy over a batch of probability rows."""
     return float(-(onehot * np.log(np.maximum(probs, LOG_CLAMP))).sum() / probs.shape[0])

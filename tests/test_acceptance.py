@@ -14,7 +14,7 @@ import pytest
 
 from hsiduo.cli import main
 from hsiduo.metrics import ConfusionMatrix, aa, kappa, oa, per_class
-from hsiduo.tensor import ComplexTensor, Tensor
+from hsiduo.tensor import Tensor
 
 
 def report(number, name, ok, detail=""):
@@ -48,21 +48,20 @@ def test_criterion_1_gradient_oracle():
 
 
 def test_criterion_2_fft_oracle():
-    from test_spectral import as_complex_vec, naive_dft, to_numpy
-    from hsiduo.spectral import FORWARD, INVERSE, fft_1d, fft_2d
+    from test_spectral import fft, fft2, naive_dft
 
     rng = np.random.default_rng(0)
     worst_dft = 0.0
     for n in (1, 2, 4, 8, 16):
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        got = to_numpy(fft_1d(as_complex_vec(x)))
+        got = fft(x)
         worst_dft = max(worst_dft, np.abs(got - np.array(naive_dft(list(x)))).max())
     assert worst_dft < 1e-9
 
     worst_rt = 0.0
     for n in (2, 8, 16, 64):
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        back = to_numpy(fft_1d(fft_1d(as_complex_vec(x), FORWARD), INVERSE))
+        back = fft(fft(x), inverse=True)
         worst_rt = max(worst_rt, np.abs(back - x).max())
     assert worst_rt < 1e-12
 
@@ -70,7 +69,7 @@ def test_criterion_2_fft_oracle():
     worst_sym = 0.0
     for n in (4, 16, 64):
         x = rng.normal(size=n)
-        spec = to_numpy(fft_1d(as_complex_vec(x)))
+        spec = fft(x)
         lhs = (np.abs(x) ** 2).sum()
         rhs = (np.abs(spec) ** 2).sum() / n
         worst_parseval = max(worst_parseval, abs(lhs - rhs) / lhs)
@@ -82,7 +81,7 @@ def test_criterion_2_fft_oracle():
     mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     from test_spectral import naive_dft_2d
 
-    got2 = to_numpy(fft_2d(ComplexTensor.from_arrays(mat.real, mat.imag)))
+    got2 = fft2(mat)
     assert np.abs(got2 - naive_dft_2d(mat)).max() < 1e-9
     report(2, "FFT vs naive DFT / roundtrip / Parseval / symmetry", True,
            f"(dft {worst_dft:.1e}, rt {worst_rt:.1e})")
@@ -93,8 +92,8 @@ def test_criterion_2_fft_oracle():
 
 
 def test_criterion_3_convolution_oracle():
-    from test_layers import complex_conv_oracle, conv_oracle
-    from hsiduo.layers import ComplexConvParams, ConvParams, conv3d_complex, conv3d_real
+    from test_layers import complex_conv_oracle, conv_complex, conv_oracle, conv_real
+    from hsiduo.layers import ComplexConvParams
 
     rng = np.random.default_rng(1)
     worst = 0.0
@@ -102,7 +101,7 @@ def test_criterion_3_convolution_oracle():
         x = rng.normal(size=(5, 5, 5, 3))
         k = rng.normal(size=(3, 3, 3, 3, 4))
         b = rng.normal(size=4)
-        got = conv3d_real(Tensor.from_array(x), ConvParams(k, b)).as_array()
+        got = conv_real(x, k, b)
         worst = max(worst, np.abs(got - conv_oracle(x, k, b)).max())
 
         xr = rng.normal(size=(5, 5, 5, 3))
@@ -110,10 +109,10 @@ def test_criterion_3_convolution_oracle():
         kr = rng.normal(size=(3, 3, 3, 3, 4))
         ki = rng.normal(size=(3, 3, 3, 3, 4))
         br, bi = rng.normal(size=4), rng.normal(size=4)
-        out = conv3d_complex(ComplexTensor.from_arrays(xr, xi), ComplexConvParams(kr, ki, br, bi))
+        out_re, out_im = conv_complex(xr, xi, ComplexConvParams(kr, ki, br, bi))
         want_re, want_im = complex_conv_oracle(xr, xi, kr, ki, br, bi)
-        worst = max(worst, np.abs(out.re_array() - want_re).max())
-        worst = max(worst, np.abs(out.im_array() - want_im).max())
+        worst = max(worst, np.abs(out_re - want_re).max())
+        worst = max(worst, np.abs(out_im - want_im).max())
     report(3, "conv3d real/complex vs nested-loop oracle", worst < 1e-12, f"(max err {worst:.1e})")
 
 
@@ -122,12 +121,9 @@ def test_criterion_3_convolution_oracle():
 
 
 def test_criterion_4_complex_real_reduction():
+    from test_layers import conv_complex, conv_real
     from hsiduo.layers import (
         ComplexConvParams,
-        ConvParams,
-        conv3d_complex,
-        conv3d_real,
-        conv3d_real_batch,
         conv3d_real_batch_backward,
         conv3d_complex_batch_backward,
     )
@@ -136,13 +132,10 @@ def test_criterion_4_complex_real_reduction():
     x = rng.normal(size=(4, 4, 4, 2))
     k = rng.normal(size=(2, 2, 2, 2, 3))
     b = rng.normal(size=3)
-    out = conv3d_complex(
-        ComplexTensor.from_arrays(x, np.zeros_like(x)),
-        ComplexConvParams(k, np.zeros_like(k), b, np.zeros(3)),
-    )
-    want = conv3d_real(Tensor.from_array(x), ConvParams(k, b)).as_array()
-    re_err = np.abs(out.re_array() - want).max()
-    im_err = np.abs(out.im_array()).max()
+    out_re, out_im = conv_complex(x, np.zeros_like(x), ComplexConvParams(k, np.zeros_like(k), b, np.zeros(3)))
+    want = conv_real(x, k, b)
+    re_err = np.abs(out_re - want).max()
+    im_err = np.abs(out_im).max()
     assert re_err < 1e-14 and im_err < 1e-14
 
     xr = rng.normal(size=(2, 4, 4, 4, 2))
@@ -174,20 +167,19 @@ def test_criterion_4_complex_real_reduction():
 
 
 def test_criterion_5_se_semantics():
-    from hsiduo.layers import SeParams, se_excite, se_squeeze
+    from test_layers import se_single
+    from hsiduo.layers import SeParams
 
     rng = np.random.default_rng(3)
     u = rng.normal(size=(5, 7, 8))
-    z = se_squeeze(Tensor.from_array(u))
+    p = SeParams(rng.normal(size=(4, 8)), rng.normal(size=(8, 4)), 2)
+    _, z, s = se_single(u, p)
     worst = max(abs(z[c] - u[:, :, c].sum() / 35.0) for c in range(8))
     assert worst < 1e-14
-
-    p = SeParams(rng.normal(size=(4, 8)), rng.normal(size=(8, 4)), 2)
-    s = se_excite(z, p)
     assert np.all((s > 0.0) & (s < 1.0))
 
     zero = SeParams(np.zeros((4, 8)), np.zeros((8, 4)), 2)
-    assert np.all(se_excite(z, zero) == 0.5)
+    assert np.all(se_single(u, zero)[2] == 0.5)
     report(5, "SE squeeze/excite semantics", True, f"(squeeze err {worst:.1e})")
 
 
@@ -399,6 +391,20 @@ def test_criterion_9_se_ablation(tmp_path):
 # 10. determinism
 
 
+def hsiduo_child(*args):
+    """Run `python -m hsiduo ARGS` in a fresh process, so that --threads pins
+    the BLAS pools before numpy loads; returns the exit code."""
+    import subprocess
+    import sys
+
+    import hsiduo
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hsiduo.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "hsiduo", *args], env=env, timeout=900).returncode
+
+
 def test_criterion_10_determinism(tmp_path):
     config = default_config_with(tmp_path, epochs=50)
     data = str(tmp_path / "data")
@@ -408,14 +414,14 @@ def test_criterion_10_determinism(tmp_path):
     outputs = []
     for tag in ("a", "b"):
         run = str(tmp_path / f"run_{tag}")
-        assert main(["train", "--cube", os.path.join(data, "cube.json"),
-                     "--labels", os.path.join(data, "labels.json"),
-                     "--config", config, "--seed", "0", "--out", run, "--threads", "1"]) == 0
+        assert hsiduo_child("train", "--cube", os.path.join(data, "cube.json"),
+                            "--labels", os.path.join(data, "labels.json"),
+                            "--config", config, "--seed", "0", "--out", run, "--threads", "1") == 0
         ppm = str(tmp_path / f"map_{tag}.ppm")
-        assert main(["map", "--cube", os.path.join(data, "cube.json"),
-                     "--labels", os.path.join(data, "labels.json"),
-                     "--checkpoint", os.path.join(run, "checkpoint.json"),
-                     "--out", ppm, "--threads", "1"]) == 0
+        assert hsiduo_child("map", "--cube", os.path.join(data, "cube.json"),
+                            "--labels", os.path.join(data, "labels.json"),
+                            "--checkpoint", os.path.join(run, "checkpoint.json"),
+                            "--out", ppm, "--threads", "1") == 0
         outputs.append((run, ppm))
 
     run_a, map_a = outputs[0]

@@ -265,3 +265,102 @@ def test_no_command_prints_help(capsys):
 
 def test_unknown_flag_exits_2(capsys):
     assert main(["synth", "--bogus", "1", "--out", "x"]) == 2
+
+
+def untrained_checkpoint(tmp_path, n_classes=3):
+    """A small model's checkpoint, saved without training."""
+    from hsiduo.model import DualStreamModel, ModelConfig, save_checkpoint
+
+    net = DualStreamModel.build(ModelConfig.from_json_dict(small_config_doc()), n_classes,
+                                rng=np.random.default_rng(0))
+    path = str(tmp_path / "ckpt" / "checkpoint.json")
+    os.makedirs(os.path.dirname(path))
+    save_checkpoint(net, path)
+    return path
+
+
+def break_manifest_json(ckpt, dataset):
+    open(ckpt, "w").write('{"format": "hsiduo-checkpoint-v1", ')
+    return "map", "checkpoint manifest"
+
+
+def break_layer_offset(ckpt, dataset):
+    manifest = json.load(open(ckpt))
+    payload = os.path.getsize(os.path.join(os.path.dirname(ckpt), manifest["params_file"]))
+    manifest["layers"][-1]["offset"] = payload - 4  # head.bias holds 3 floats
+    json.dump(manifest, open(ckpt, "w"))
+    return "map", "head.bias"
+
+
+def break_cube_data_entry(ckpt, dataset):
+    path = os.path.join(dataset, "cube.json")
+    header = json.load(open(path))
+    header["data"] = [header["data"]]
+    json.dump(header, open(path, "w"))
+    return "train", "'data'"
+
+
+def break_labels_data_entry(ckpt, dataset):
+    path = os.path.join(dataset, "labels.json")
+    header = json.load(open(path))
+    header["data"] = {"file": header["data"]}
+    json.dump(header, open(path, "w"))
+    return "map", "'data'"
+
+
+@pytest.mark.parametrize(
+    "corrupt", [break_manifest_json, break_layer_offset, break_cube_data_entry, break_labels_data_entry]
+)
+def test_malformed_input_exits_2_and_names_field(tmp_path, dataset, capsys, corrupt):
+    ckpt = untrained_checkpoint(tmp_path)
+    command, field = corrupt(ckpt, dataset)
+    inputs = ["--cube", os.path.join(dataset, "cube.json"), "--labels", os.path.join(dataset, "labels.json")]
+    if command == "map":
+        args = ["map", *inputs, "--checkpoint", ckpt, "--out", str(tmp_path / "m.ppm")]
+    else:
+        config = write_config(tmp_path, small_config_doc(epochs=1))
+        args = ["train", *inputs, "--config", config, "--out", str(tmp_path / "run")]
+    assert main(args) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_label_map_must_match_cube(tmp_path, dataset, capsys):
+    from hsiduo.data import LabelMap, save_labels
+
+    labels = np.zeros((24, 20), dtype=int)
+    labels[:8], labels[8:16], labels[16:] = 1, 2, 3
+    path = str(tmp_path / "big_labels.json")
+    save_labels(LabelMap(labels), path)
+    cube = os.path.join(dataset, "cube.json")
+    config = write_config(tmp_path, small_config_doc(epochs=1))
+    runs = [
+        ["train", "--cube", cube, "--labels", path, "--config", config, "--out", str(tmp_path / "run")],
+        ["map", "--cube", cube, "--labels", path, "--checkpoint", untrained_checkpoint(tmp_path),
+         "--out", str(tmp_path / "m.ppm")],
+    ]
+    for args in runs:
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "labels" in err and "24x20" in err and "16x16" in err
+    assert not os.path.exists(tmp_path / "run") and not os.path.exists(tmp_path / "m.ppm")
+
+
+def test_f32_prediction_keeps_both_streams_in_f32(monkeypatch):
+    from hsiduo import cli, layers
+    from hsiduo.model import DualStreamModel, ModelConfig
+
+    seen = []
+    conv = layers.conv3d_complex_batch
+
+    def recording_conv(xr, xi, p):
+        seen.append((xr.dtype, xi.dtype, p.kernels_re.dtype))
+        return conv(xr, xi, p)
+
+    monkeypatch.setattr(layers, "conv3d_complex_batch", recording_conv)
+    net = DualStreamModel.build(ModelConfig.from_json_dict(small_config_doc()), 3,
+                                rng=np.random.default_rng(0)).cast(np.float32)
+    std = np.random.default_rng(1).normal(size=(12, 12, 8)).astype(np.float32)
+    pred = cli.predict_samples(net, std, np.array([0, 5, 11]), np.array([3, 11, 0]), 8)
+    assert pred.shape == (3,)
+    assert len(seen) == 3  # one call per complex layer
+    assert all(dtypes == (np.float32,) * 3 for dtypes in seen), seen

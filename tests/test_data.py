@@ -7,7 +7,6 @@ import pytest
 from hsiduo.data import (
     HsiCube,
     LabelMap,
-    extract_patch,
     extract_patches_array,
     fit_pca,
     jacobi_eigh,
@@ -32,7 +31,7 @@ def test_single_value_cube_roundtrip(tmp_path):
     path = str(tmp_path / "one.json")
     save_cube(cube, path)
     back = load_cube(path)
-    assert back.values.at(0, 0, 0) == 3.5
+    assert back.values.as_array()[0, 0, 0] == 3.5
 
 
 def test_cube_roundtrip_bitwise(tmp_path):
@@ -44,6 +43,20 @@ def test_cube_roundtrip_bitwise(tmp_path):
     back = load_cube(path)
     assert np.array_equal(back.values.data, cube.values.data)
     assert (back.height, back.width, back.bands) == (4, 5, 6)
+
+
+def test_load_cube_converts_in_one_pass(tmp_path):
+    from test_tensor import traced_peak
+
+    rng = np.random.default_rng(1)
+    vals = rng.normal(size=(64, 48, 103)).astype(np.float32).astype(np.float64)
+    path = str(tmp_path / "cube.json")
+    save_cube(HsiCube(Tensor.from_array(vals)), path)
+    cube, peak = traced_peak(load_cube, path)
+    arr = cube.values.as_array()
+    assert np.array_equal(arr, vals) and arr.flags.c_contiguous and not arr.flags.writeable
+    # the float32 payload plus the one float64 cube, with no further copy
+    assert peak < 2.0 * vals.nbytes
 
 
 def test_labels_roundtrip_with_names(tmp_path):
@@ -209,10 +222,15 @@ def test_standardize_scales_small_real_band():
 # patches
 
 
+def extract_patch(vals, row, col, patch_size):
+    """The batch kernel on one pixel."""
+    return extract_patches_array(vals, np.array([row]), np.array([col]), patch_size)[0]
+
+
 def test_extract_patch_interior_copy():
     rng = np.random.default_rng(7)
     vals = rng.normal(size=(6, 6, 2))
-    patch = extract_patch(Tensor.from_array(vals), 3, 3, 4).as_array()
+    patch = extract_patch(vals, 3, 3, 4)
     assert np.array_equal(patch, vals[1:5, 1:5, :])
     assert np.array_equal(patch[2, 2], vals[3, 3])
 
@@ -220,7 +238,7 @@ def test_extract_patch_interior_copy():
 def test_extract_patch_corner_padding():
     rng = np.random.default_rng(8)
     vals = rng.normal(size=(6, 6, 2))
-    patch = extract_patch(Tensor.from_array(vals), 0, 0, 4).as_array()
+    patch = extract_patch(vals, 0, 0, 4)
     assert np.all(patch[:2, :, :] == 0)
     assert np.all(patch[:, :2, :] == 0)
     assert np.array_equal(patch[2:, 2:, :], vals[:2, :2, :])
@@ -232,7 +250,7 @@ def test_extract_patch_exhaustive_oracle():
     s = 4
     for r in range(6):
         for c in range(6):
-            got = extract_patch(Tensor.from_array(vals), r, c, s).as_array()
+            got = extract_patch(vals, r, c, s)
             want = np.zeros((s, s, 3))
             for i in range(s):
                 for j in range(s):
@@ -244,11 +262,15 @@ def test_extract_patch_exhaustive_oracle():
 
 
 def test_extract_patch_validation():
-    t = Tensor.from_array(np.zeros((4, 4, 1)))
+    t = np.zeros((4, 4, 1))
     with pytest.raises(DimensionError):
         extract_patch(t, 4, 0, 4)
     with pytest.raises(DimensionError):
+        extract_patch(t, 0, -1, 4)
+    with pytest.raises(DimensionError):
         extract_patch(t, 0, 0, 3)
+    with pytest.raises(DimensionError):
+        extract_patch(np.zeros((4, 4)), 0, 0, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -4,22 +4,57 @@ import pytest
 from hsiduo.errors import ConfigError, DimensionError
 from hsiduo.layers import (
     ComplexConvParams,
-    ConvParams,
     DenseParams,
     SeParams,
-    conv3d_complex,
-    conv3d_real,
-    crelu,
-    dense,
-    dropout,
-    fuse_streams,
+    conv3d_complex_batch,
+    conv3d_real_batch,
+    dense_batch,
+    dropout_mask,
     relu,
-    se_excite,
-    se_scale,
-    se_squeeze,
+    se_forward_batch,
     softmax,
 )
-from hsiduo.tensor import ComplexTensor, Tensor
+from hsiduo.model import ConvLayerSpec, DualStreamModel, ModelConfig
+
+
+def conv_real(x, k, b):
+    """The batch kernel on a single [H,W,D,C] sample."""
+    return conv3d_real_batch(x[None], k, b)[0]
+
+
+def conv_complex(xr, xi, p):
+    out_re, out_im = conv3d_complex_batch(xr[None], xi[None], p)
+    return out_re[0], out_im[0]
+
+
+def se_single(u, p):
+    """se_forward_batch on one [H,W,C] map: (output, squeeze z, gate s)."""
+    out, (z, _, _, s) = se_forward_batch(u[None], p)
+    return out[0], z[0], s[0]
+
+
+def fusion_cache(xr, xc_re, xc_im, complex_bands=None):
+    """forward_batch's cache for a model whose streams pass their inputs
+    through: one 1x1xd conv per stream with weight 1 at depth offset 0 and
+    zero bias, no SE block and no hidden layer. The fused map then holds
+    ReLU(xr), then CReLU's re part, then its im part, of the first
+    complex_bands bands of the complex input."""
+    bands = xr.shape[-1]
+    complex_bands = bands if complex_bands is None else complex_bands
+    cfg = ModelConfig(
+        pca_components=bands,
+        patch_size=xr.shape[1],
+        real_convs=[ConvLayerSpec((1, 1, 1), 1)],
+        complex_convs=[ConvLayerSpec((1, 1, bands - complex_bands + 1), 1)],
+        se_enabled=False,
+        dense_widths=[],
+        dropout_rate=0.0,
+    )
+    model = DualStreamModel.build(cfg, 2)  # all-zero weights
+    model.real_convs[0].kernels[...] = 1.0
+    model.cplx_convs[0].kernels_re[:, :, 0] = 1.0
+    _, cache = model.forward_batch(xr, xc_re, xc_im)
+    return cache
 
 
 def conv_oracle(x, k, b):
@@ -67,16 +102,14 @@ def complex_conv_oracle(xr, xi, kr, ki, br, bi):
 def test_identity_kernel_passes_input_through():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3, 3, 3, 1))
-    p = ConvParams(np.ones((1, 1, 1, 1, 1)), np.zeros(1))
-    out = conv3d_real(Tensor.from_array(x), p)
-    assert np.allclose(out.as_array(), x)
+    out = conv_real(x, np.ones((1, 1, 1, 1, 1)), np.zeros(1))
+    assert np.allclose(out, x)
 
 
 def test_zero_kernel_gives_bias_only():
     x = np.random.default_rng(1).normal(size=(3, 4, 5, 2))
     bias = np.array([1.5, -2.0, 0.25])
-    p = ConvParams(np.zeros((2, 2, 2, 2, 3)), bias)
-    out = conv3d_real(Tensor.from_array(x), p).as_array()
+    out = conv_real(x, np.zeros((2, 2, 2, 2, 3)), bias)
     for o in range(3):
         assert np.all(out[..., o] == bias[o])
 
@@ -86,14 +119,13 @@ def test_conv3d_real_matches_loop_oracle():
     x = rng.normal(size=(4, 4, 4, 2))
     k = rng.normal(size=(2, 2, 2, 2, 3))
     b = rng.normal(size=3)
-    got = conv3d_real(Tensor.from_array(x), ConvParams(k, b)).as_array()
+    got = conv_real(x, k, b)
     assert np.abs(got - conv_oracle(x, k, b)).max() < 1e-12
 
 
 def test_conv_kernel_larger_than_input():
-    p = ConvParams(np.zeros((5, 1, 1, 1, 1)), np.zeros(1))
     with pytest.raises(DimensionError):
-        conv3d_real(Tensor.from_array(np.zeros((3, 3, 3, 1))), p)
+        conv_real(np.zeros((3, 3, 3, 1)), np.zeros((5, 1, 1, 1, 1)), np.zeros(1))
 
 
 def test_complex_conv_reduces_to_real():
@@ -102,11 +134,10 @@ def test_complex_conv_reduces_to_real():
     k = rng.normal(size=(2, 2, 2, 2, 3))
     b = rng.normal(size=3)
     cp = ComplexConvParams(k, np.zeros_like(k), b, np.zeros(3))
-    zx = ComplexTensor.from_arrays(x, np.zeros_like(x))
-    out = conv3d_complex(zx, cp)
-    want = conv3d_real(Tensor.from_array(x), ConvParams(k, b)).as_array()
-    assert np.abs(out.re_array() - want).max() < 1e-14
-    assert np.abs(out.im_array()).max() < 1e-14
+    out_re, out_im = conv_complex(x, np.zeros_like(x), cp)
+    want = conv_real(x, k, b)
+    assert np.abs(out_re - want).max() < 1e-14
+    assert np.abs(out_im).max() < 1e-14
 
 
 def test_complex_conv_rotation_by_i():
@@ -115,9 +146,9 @@ def test_complex_conv_rotation_by_i():
     zi = rng.normal(size=(2, 2, 2, 1))
     kernel_im = np.ones((1, 1, 1, 1, 1))
     cp = ComplexConvParams(np.zeros_like(kernel_im), kernel_im, np.zeros(1), np.zeros(1))
-    out = conv3d_complex(ComplexTensor.from_arrays(zr, zi), cp)
-    assert np.allclose(out.re_array(), -zi)
-    assert np.allclose(out.im_array(), zr)
+    out_re, out_im = conv_complex(zr, zi, cp)
+    assert np.allclose(out_re, -zi)
+    assert np.allclose(out_im, zr)
 
 
 def test_conv3d_complex_matches_loop_oracle():
@@ -128,79 +159,101 @@ def test_conv3d_complex_matches_loop_oracle():
     ki = rng.normal(size=(2, 2, 2, 2, 2))
     br = rng.normal(size=2)
     bi = rng.normal(size=2)
-    out = conv3d_complex(ComplexTensor.from_arrays(xr, xi), ComplexConvParams(kr, ki, br, bi))
+    out_re, out_im = conv_complex(xr, xi, ComplexConvParams(kr, ki, br, bi))
     want_re, want_im = complex_conv_oracle(xr, xi, kr, ki, br, bi)
-    assert np.abs(out.re_array() - want_re).max() < 1e-12
-    assert np.abs(out.im_array() - want_im).max() < 1e-12
+    assert np.abs(out_re - want_re).max() < 1e-12
+    assert np.abs(out_im - want_im).max() < 1e-12
+
+
+def crelu_through_model(re, im):
+    """CReLU as forward_batch applies it after the complex conv: the last
+    two fused channels of a one-band pass-through model."""
+    fused = fusion_cache(np.zeros_like(re), re, im)["fused"]
+    return fused[..., 1:2], fused[..., 2:3]
 
 
 def test_crelu_cases():
-    z = ComplexTensor.from_arrays(np.array([1.0, -1.0, -1.0]), np.array([2.0, 2.0, -2.0]))
-    out = crelu(z)
-    assert list(out.re) == [1.0, 0.0, 0.0]
-    assert list(out.im) == [2.0, 2.0, 0.0]
+    # one sample per case, constant over the 2x2 patch
+    re = np.array([1.0, -1.0, -1.0])[:, None, None, None] * np.ones((3, 2, 2, 1))
+    im = np.array([2.0, 2.0, -2.0])[:, None, None, None] * np.ones((3, 2, 2, 1))
+    out_re, out_im = crelu_through_model(re, im)
+    assert list(out_re[:, 0, 0, 0]) == [1.0, 0.0, 0.0]
+    assert list(out_im[:, 0, 0, 0]) == [2.0, 2.0, 0.0]
 
 
 def test_crelu_idempotent_and_real_axis():
     rng = np.random.default_rng(6)
-    z = ComplexTensor.from_arrays(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
-    once = crelu(z)
-    twice = crelu(once)
-    assert np.array_equal(once.re, twice.re) and np.array_equal(once.im, twice.im)
-    x = rng.normal(size=(4,))
-    on_axis = crelu(ComplexTensor.from_arrays(x, np.zeros_like(x)))
-    assert np.array_equal(on_axis.re, relu(x))
-    assert np.all(on_axis.im == 0)
+    re, im = rng.normal(size=(3, 2, 2, 1)), rng.normal(size=(3, 2, 2, 1))
+    once = crelu_through_model(re, im)
+    twice = crelu_through_model(*once)
+    assert np.array_equal(once[0], twice[0]) and np.array_equal(once[1], twice[1])
+    x = rng.normal(size=(4, 2, 2, 1))
+    on_axis = crelu_through_model(x, np.zeros_like(x))
+    assert np.array_equal(on_axis[0], relu(x))
+    assert np.all(on_axis[1] == 0)
 
 
 def test_fuse_streams_zero_complex():
     rng = np.random.default_rng(7)
-    real = Tensor.from_array(rng.normal(size=(2, 2, 3)))
-    cplx = ComplexTensor.from_arrays(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
-    out = fuse_streams(real, cplx).as_array()
-    assert out.shape == (2, 2, 7)
-    assert np.array_equal(out[:, :, :3], real.as_array())
-    assert np.all(out[:, :, 3:] == 0)
+    real = rng.normal(size=(1, 2, 2, 3))
+    fused = fusion_cache(real, np.zeros((1, 2, 2, 3)), np.zeros((1, 2, 2, 3)), complex_bands=2)["fused"]
+    assert fused.shape == (1, 2, 2, 7)
+    assert np.array_equal(fused[..., :3], relu(real))
+    assert np.all(fused[..., 3:] == 0)
 
 
 def test_fuse_streams_empty_real():
+    # a real stream that ReLU silences still holds its channel slots, and
+    # the complex channels follow it unchanged
     rng = np.random.default_rng(8)
-    re, im = rng.normal(size=(2, 2, 2)), rng.normal(size=(2, 2, 2))
-    out = fuse_streams(Tensor.from_array(np.zeros((2, 2, 0))), ComplexTensor.from_arrays(re, im))
-    assert out.shape == (2, 2, 4)
-    assert np.array_equal(out.as_array()[:, :, :2], re)
-    assert np.array_equal(out.as_array()[:, :, 2:], im)
+    re, im = rng.uniform(0.1, 1.0, size=(1, 2, 2, 2)), rng.uniform(0.1, 1.0, size=(1, 2, 2, 2))
+    fused = fusion_cache(-np.ones((1, 2, 2, 2)), re, im)["fused"]
+    assert fused.shape == (1, 2, 2, 6)
+    assert np.all(fused[..., :2] == 0)
+    assert np.array_equal(fused[..., 2:4], re)
+    assert np.array_equal(fused[..., 4:], im)
 
 
 def test_fuse_streams_random_elementwise():
     rng = np.random.default_rng(9)
-    real = rng.normal(size=(2, 2, 3))
-    re, im = rng.normal(size=(2, 2, 2)), rng.normal(size=(2, 2, 2))
-    out = fuse_streams(Tensor.from_array(real), ComplexTensor.from_arrays(re, im)).as_array()
+    real = rng.normal(size=(1, 2, 2, 3))
+    re, im = rng.normal(size=(1, 2, 2, 3)), rng.normal(size=(1, 2, 2, 3))
+    out = fusion_cache(real, re, im, complex_bands=2)["fused"][0]
+    real, re, im = real[0], re[0], im[0]
     for i in range(2):
         for j in range(2):
             for c in range(7):
-                want = real[i, j, c] if c < 3 else (re[i, j, c - 3] if c < 5 else im[i, j, c - 5])
+                if c < 3:
+                    want = max(real[i, j, c], 0.0)
+                elif c < 5:
+                    want = max(re[i, j, c - 3], 0.0)
+                else:
+                    want = max(im[i, j, c - 5], 0.0)
                 assert out[i, j, c] == want
-    with pytest.raises(DimensionError):
-        fuse_streams(Tensor.from_array(real), ComplexTensor.from_arrays(np.zeros((3, 2, 1)), np.zeros((3, 2, 1))))
+    # streams whose outputs do not align spatially cannot be fused
+    cfg = ModelConfig(pca_components=3, patch_size=2, real_convs=[ConvLayerSpec((1, 1, 1), 1)],
+                      complex_convs=[ConvLayerSpec((2, 2, 1), 1)], se_enabled=False)
+    with pytest.raises(ConfigError, match="fusion"):
+        DualStreamModel.build(cfg, 2)
 
 
 def test_se_squeeze_direct_average():
-    u = Tensor.from_array(np.array([[[1.0], [2.0]], [[3.0], [4.0]]]))
-    assert se_squeeze(u)[0] == 2.5
+    u = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])
+    _, z, _ = se_single(u, SeParams(np.zeros((1, 1)), np.zeros((1, 1)), 1))
+    assert z[0] == 2.5
 
 
 def test_se_squeeze_constant_channel():
+    p = SeParams(np.zeros((1, 2)), np.zeros((2, 1)), 2)
     for v in (0.0, -3.25, 7.5):
-        u = Tensor.from_array(np.full((3, 5, 2), v))
-        assert np.all(se_squeeze(u) == v)
+        _, z, _ = se_single(np.full((3, 5, 2), v), p)
+        assert np.all(z == v)
 
 
 def test_se_squeeze_matches_summation_oracle():
     rng = np.random.default_rng(10)
     u = rng.normal(size=(3, 5, 4))
-    got = se_squeeze(Tensor.from_array(u))
+    _, got, _ = se_single(u, SeParams(np.zeros((2, 4)), np.zeros((4, 2)), 2))
     for c in range(4):
         acc = 0.0
         for i in range(3):
@@ -211,7 +264,7 @@ def test_se_squeeze_matches_summation_oracle():
 
 def test_se_excite_zero_weights_give_half():
     p = SeParams(np.zeros((2, 4)), np.zeros((4, 2)), 2)
-    s = se_excite(np.random.default_rng(11).normal(size=4), p)
+    _, _, s = se_single(np.random.default_rng(11).normal(size=(2, 3, 4)), p)
     assert np.all(s == 0.5)
 
 
@@ -219,8 +272,9 @@ def test_se_excite_matches_composition_oracle():
     rng = np.random.default_rng(12)
     w1 = rng.normal(size=(2, 4))
     w2 = rng.normal(size=(4, 2))
-    z = rng.normal(size=4)
-    got = se_excite(z, SeParams(w1, w2, 2))
+    u = rng.normal(size=(2, 3, 4))
+    _, _, got = se_single(u, SeParams(w1, w2, 2))
+    z = u.sum(axis=(0, 1)) / 6.0
     hidden = np.maximum(w1 @ z, 0.0)
     want = 1.0 / (1.0 + np.exp(-(w2 @ hidden)))
     assert np.abs(got - want).max() < 1e-12
@@ -232,33 +286,34 @@ def test_se_gate_never_flips_feature_signs():
     for _ in range(10):
         u = rng.normal(size=(3, 3, 4))
         p = SeParams(rng.normal(size=(2, 4)), rng.normal(size=(4, 2)), 2)
-        s = se_excite(se_squeeze(Tensor.from_array(u)), p)
-        out = se_scale(Tensor.from_array(u), s).as_array()
+        out, _, _ = se_single(u, p)
         assert np.all(np.sign(out) == np.sign(u))
 
 
 def test_se_scale_cases():
     rng = np.random.default_rng(13)
-    u = rng.normal(size=(2, 3, 4))
-    t = Tensor.from_array(u)
-    assert np.array_equal(se_scale(t, np.ones(4)).as_array(), u)
-    assert np.all(se_scale(t, np.zeros(4)).data == 0)
-    s = rng.normal(size=4)
-    out = se_scale(t, s).as_array()
+    u = rng.uniform(0.5, 1.5, size=(2, 3, 4))
+    # positive features and w1 = 1 give a positive hidden unit; w2 = +-1000
+    # saturates the gate to exactly 1 or 0
+    open_gate = SeParams(np.ones((1, 4)), np.full((4, 1), 1000.0), 4)
+    shut_gate = SeParams(np.ones((1, 4)), np.full((4, 1), -1000.0), 4)
+    assert np.array_equal(se_single(u, open_gate)[0], u)
+    assert np.all(se_single(u, shut_gate)[0] == 0)
+    out, _, s = se_single(u, SeParams(rng.normal(size=(2, 4)), rng.normal(size=(4, 2)), 2))
     for i in range(2):
         for j in range(3):
             for c in range(4):
                 assert out[i, j, c] == s[c] * u[i, j, c]
-    with pytest.raises(DimensionError):
-        se_scale(t, np.ones(3))
+    with pytest.raises(ValueError):
+        se_single(u[..., :3], open_gate)
 
 
 def test_dense_identity():
-    x = np.random.default_rng(14).normal(size=5)
+    x = np.random.default_rng(14).normal(size=(2, 5))
     p = DenseParams(np.eye(5), np.zeros(5))
-    assert np.allclose(dense(x, p), x)
-    with pytest.raises(DimensionError):
-        dense(np.zeros(4), p)
+    assert np.allclose(dense_batch(x, p), x)
+    with pytest.raises(ValueError):
+        dense_batch(np.zeros((2, 4)), p)
 
 
 def test_softmax_properties():
@@ -275,17 +330,25 @@ def test_softmax_properties():
 def test_dropout_contract():
     rng = np.random.default_rng(16)
     x = rng.normal(size=1000)
-    assert np.array_equal(dropout(x, 0.0, np.random.default_rng(0), training=True), x)
-    assert np.array_equal(dropout(x, 0.7, np.random.default_rng(0), training=False), x)
-    out = dropout(x, 0.4, np.random.default_rng(1), training=True)
+    assert np.array_equal(x * dropout_mask(x.shape, 0.0, np.random.default_rng(0)), x)
+    out = x * dropout_mask(x.shape, 0.4, np.random.default_rng(1))
     zeroed = out == 0
     kept = ~zeroed
     assert np.allclose(out[kept], x[kept] / 0.6)
     assert 0.25 < zeroed.mean() < 0.55
-    with pytest.raises(ConfigError):
-        dropout(x, 1.0, np.random.default_rng(0), training=True)
-    with pytest.raises(ConfigError):
-        dropout(x, -0.1, np.random.default_rng(0), training=True)
+    # eval mode draws no mask: the forward pass is the same with any seed
+    cfg = ModelConfig(pca_components=2, patch_size=2, real_convs=[ConvLayerSpec((1, 1, 1), 2)],
+                      complex_convs=[ConvLayerSpec((1, 1, 1), 2)], se_ratio=2, dense_widths=[8],
+                      dropout_rate=0.7)
+    model = DualStreamModel.build(cfg, 2, rng=np.random.default_rng(2))
+    xs = [rng.normal(size=(3, 2, 2, 2)) for _ in range(3)]
+    eval_a, cache = model.forward_batch(*xs, training=False, dropout_seed=(0,))
+    eval_b, _ = model.forward_batch(*xs, training=False, dropout_seed=(1,))
+    assert np.array_equal(eval_a, eval_b) and cache["dense"][0][2] is None
+    with pytest.raises(ConfigError, match="dropout_rate"):
+        ModelConfig(dropout_rate=1.0).validate()
+    with pytest.raises(ConfigError, match="dropout_rate"):
+        ModelConfig(dropout_rate=-0.1).validate()
 
 
 def test_conv_linearity_in_input():
@@ -294,25 +357,24 @@ def test_conv_linearity_in_input():
     k = rng.normal(size=(2, 2, 2, 2, 2))
     b = rng.normal(size=2)
     alpha = rng.normal()
-    biasless = ConvParams(k, np.zeros(2))
-    lhs = conv3d_real(Tensor.from_array(alpha * x), biasless).as_array()
-    rhs = alpha * conv3d_real(Tensor.from_array(x), biasless).as_array()
+    lhs = conv_real(alpha * x, k, np.zeros(2))
+    rhs = alpha * conv_real(x, k, np.zeros(2))
     assert np.abs(lhs - rhs).max() < 1e-12
-    with_bias = conv3d_real(Tensor.from_array(x), ConvParams(k, b)).as_array()
+    with_bias = conv_real(x, k, b)
     assert np.abs(with_bias - (rhs / alpha + b)).max() < 1e-12
 
 
 def test_se_positive_scaling_properties():
     rng = np.random.default_rng(18)
     u = rng.normal(size=(2, 2, 4))
-    # powers of two scale exactly in IEEE arithmetic
+    # w2 = 0 holds the gate at 1/2 for every input, so the block is
+    # positively homogeneous; powers of two scale exactly in IEEE arithmetic
+    p = SeParams(rng.normal(size=(2, 4)), np.zeros((4, 2)), 2)
     lam = 4.0
-    assert np.array_equal(se_squeeze(Tensor.from_array(lam * u)), lam * se_squeeze(Tensor.from_array(u)))
-    s = rng.uniform(0.1, 0.9, size=4)
-    lhs = se_scale(Tensor.from_array(lam * u), s).as_array()
-    rhs = lam * se_scale(Tensor.from_array(u), s).as_array()
-    assert np.array_equal(lhs, rhs)
+    out, z, _ = se_single(u, p)
+    out_lam, z_lam, _ = se_single(lam * u, p)
+    assert np.array_equal(z_lam, lam * z)
+    assert np.array_equal(out_lam, lam * out)
     lam = 3.7  # general positive scale, up to rounding
-    lhs = se_squeeze(Tensor.from_array(lam * u))
-    rhs = lam * se_squeeze(Tensor.from_array(u))
-    assert np.abs(lhs - rhs).max() < 1e-12
+    _, z_lam, _ = se_single(lam * u, p)
+    assert np.abs(z_lam - lam * z).max() < 1e-12

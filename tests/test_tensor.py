@@ -1,18 +1,17 @@
+"""Tensor, the data path's read-only holder, and channel concatenation as
+the model runs it: fusion of the real stream with the [re | im]
+realization of the complex stream in DualStreamModel.forward_batch."""
+
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hsiduo.errors import DimensionError
-from hsiduo.tensor import (
-    ComplexTensor,
-    Tensor,
-    complex_to_real_channels,
-    concat_channels,
-    elementwise,
-    from_flat,
-    reshape,
-    slice_channels,
-    zeros,
-)
+from hsiduo.errors import ConfigError, DimensionError
+from hsiduo.layers import ComplexConvParams, conv3d_complex_batch, conv3d_real_batch
+from hsiduo.model import ConvLayerSpec, DualStreamModel, ModelConfig
+from hsiduo.tensor import Tensor
+from test_layers import fusion_cache
 
 
 def value_at(shape, flat, idx):
@@ -24,93 +23,82 @@ def value_at(shape, flat, idx):
 
 
 def test_concat_single_elements():
-    a = Tensor((1, 1, 1), [2.0])
-    b = Tensor((1, 1, 1), [3.0])
-    out = concat_channels(a, b)
-    assert out.shape == (1, 1, 2)
-    assert list(out.data) == [2.0, 3.0]
-
-
-def test_concat_empty_is_identity():
-    rng = np.random.default_rng(0)
-    a = Tensor.from_array(rng.normal(size=(3, 4, 2)))
-    b = zeros((3, 4, 0))
-    out = concat_channels(a, b)
-    assert out.shape == a.shape
-    assert np.array_equal(out.data, a.data)
+    # one band per stream: every fused pixel is [real, re, im]
+    fused = fusion_cache(np.full((1, 2, 2, 1), 2.0), np.full((1, 2, 2, 1), 3.0),
+                         np.full((1, 2, 2, 1), 4.0))["fused"]
+    assert fused.shape == (1, 2, 2, 3)
+    assert list(fused[0, 1, 0]) == [2.0, 3.0, 4.0]
 
 
 def test_concat_random_against_index_oracle():
     rng = np.random.default_rng(1)
-    a = Tensor.from_array(rng.normal(size=(2, 2, 3)))
-    b = Tensor.from_array(rng.normal(size=(2, 2, 5)))
-    out = concat_channels(a, b)
-    assert out.shape == (2, 2, 8)
+    real = rng.uniform(0.0, 1.0, size=(1, 2, 2, 5))
+    re, im = rng.uniform(0.0, 1.0, size=(2, 1, 2, 2, 5))
+    cache = fusion_cache(real, re, im, complex_bands=3)
+    fused = cache["fused"][0]
+    assert fused.shape == (2, 2, 11)
+    flat = fused.reshape(-1)
     for i in range(2):
         for j in range(2):
-            for c in range(8):
-                got = value_at(out.shape, out.data, (i, j, c))
-                if c < 3:
-                    want = value_at(a.shape, a.data, (i, j, c))
+            for c in range(11):
+                got = value_at(fused.shape, flat, (i, j, c))
+                if c < 5:
+                    want = value_at((2, 2, 5), real[0].reshape(-1), (i, j, c))
+                elif c < 8:
+                    want = value_at((2, 2, 5), re[0].reshape(-1), (i, j, c - 5))
                 else:
-                    want = value_at(b.shape, b.data, (i, j, c - 3))
+                    want = value_at((2, 2, 5), im[0].reshape(-1), (i, j, c - 8))
                 assert got == want
 
 
 def test_concat_spatial_mismatch():
-    with pytest.raises(DimensionError):
-        concat_channels(zeros((2, 2, 1)), zeros((2, 3, 1)))
-    with pytest.raises(DimensionError):
-        concat_channels(zeros((2, 2, 1)), zeros((3, 2, 1)))
+    for kernel in ((2, 1, 1), (1, 2, 1)):
+        cfg = ModelConfig(pca_components=2, patch_size=2, real_convs=[ConvLayerSpec((1, 1, 1), 1)],
+                          complex_convs=[ConvLayerSpec(kernel, 1)], se_enabled=False)
+        with pytest.raises(ConfigError, match="fusion"):
+            DualStreamModel.build(cfg, 2)
 
 
 def test_complex_to_real_unit_case():
-    x = ComplexTensor.from_arrays(np.ones((2, 2, 1)), np.zeros((2, 2, 1)))
-    out = complex_to_real_channels(x)
-    assert out.shape == (2, 2, 2)
-    arr = out.as_array()
-    assert np.all(arr[:, :, 0] == 1.0)
-    assert np.all(arr[:, :, 1] == 0.0)
+    cache = fusion_cache(np.zeros((1, 2, 2, 1)), np.ones((1, 2, 2, 1)), np.zeros((1, 2, 2, 1)))
+    fused = cache["fused"]
+    assert fused.shape == (1, 2, 2, 3)
+    assert np.all(fused[..., 1] == 1.0)
+    assert np.all(fused[..., 2] == 0.0)
 
 
 def test_complex_to_real_zero():
-    x = ComplexTensor.from_arrays(np.zeros((3, 2, 2)), np.zeros((3, 2, 2)))
-    assert np.all(complex_to_real_channels(x).data == 0.0)
+    zeros = np.zeros((2, 2, 2, 2))
+    assert np.all(fusion_cache(zeros, zeros, zeros)["fused"] == 0.0)
 
 
 def test_complex_to_real_random_against_loop():
     rng = np.random.default_rng(2)
-    re = rng.normal(size=(3, 3, 2))
-    im = rng.normal(size=(3, 3, 2))
-    out = complex_to_real_channels(ComplexTensor.from_arrays(re, im))
-    assert out.shape == (3, 3, 4)
-    for i in range(3):
-        for j in range(3):
+    re = rng.uniform(0.0, 1.0, size=(1, 2, 2, 2))
+    im = rng.uniform(0.0, 1.0, size=(1, 2, 2, 2))
+    fused = fusion_cache(np.zeros((1, 2, 2, 2)), re, im)["fused"][0]
+    assert fused.shape == (2, 2, 6)
+    for i in range(2):
+        for j in range(2):
             for c in range(4):
-                got = value_at(out.shape, out.data, (i, j, c))
-                want = re[i, j, c] if c < 2 else im[i, j, c - 2]
+                got = fused[i, j, 2 + c]
+                want = re[0, i, j, c] if c < 2 else im[0, i, j, c - 2]
                 assert got == want
 
 
-def test_elementwise_negate_is_involution():
-    rng = np.random.default_rng(3)
-    x = Tensor.from_array(rng.normal(size=(2, 3)))
-    twice = elementwise(elementwise(x, lambda v: -v), lambda v: -v)
-    assert np.array_equal(twice.data, x.data)
-    assert twice.shape == x.shape
-
-
 def test_zeros():
-    z = zeros((2, 3))
+    z = Tensor((2, 3), np.zeros(6))
     assert z.shape == (2, 3)
-    assert z.size == 6
+    assert z.data.size == 6
     assert np.all(z.data == 0.0)
+    empty = Tensor((3, 4, 0), [])
+    assert empty.as_array().shape == (3, 4, 0)
 
 
 def test_from_flat_roundtrip_index_oracle():
     rng = np.random.default_rng(4)
     flat = rng.normal(size=24)
-    t = from_flat((2, 3, 4), flat)
+    t = Tensor((2, 3, 4), flat)
     arr = t.as_array()
     for i in range(2):
         for j in range(3):
@@ -120,39 +108,48 @@ def test_from_flat_roundtrip_index_oracle():
 
 def test_from_flat_length_mismatch():
     with pytest.raises(DimensionError):
-        from_flat((2, 3), [1.0, 2.0])
+        Tensor((2, 3), [1.0, 2.0])
 
 
 def test_reshape_preserves_data():
     rng = np.random.default_rng(5)
     t = Tensor.from_array(rng.normal(size=(4, 6)))
-    r = reshape(t, (2, 12))
+    r = Tensor((2, 12), t.data)
     assert np.array_equal(r.data, t.data)
+    assert np.shares_memory(r.data, t.data)  # the buffer is read-only, so no copy
     with pytest.raises(DimensionError):
-        reshape(t, (5, 5))
+        Tensor((5, 5), t.data)
 
 
 def test_concat_then_slice_recovers_inputs():
+    # backward splits the fused gradient at cache["split"]; the same cut
+    # recovers each stream's features from the fused map
     rng = np.random.default_rng(6)
-    a = Tensor.from_array(rng.normal(size=(2, 3, 4)))
-    b = Tensor.from_array(rng.normal(size=(2, 3, 2)))
-    joined = concat_channels(a, b)
-    assert np.array_equal(slice_channels(joined, 0, 4).data, a.data)
-    assert np.array_equal(slice_channels(joined, 4, 6).data, b.data)
+    real, re, im = rng.uniform(0.0, 1.0, size=(3, 2, 2, 2, 4))
+    cache = fusion_cache(real, re, im)
+    c_real, c_cplx = cache["split"]
+    fused = cache["fused"]
+    assert np.array_equal(fused[..., :c_real], real)
+    assert np.array_equal(fused[..., c_real : c_real + c_cplx], re)
+    assert np.array_equal(fused[..., c_real + c_cplx :], im)
 
 
 def test_complex_zero_im_roundtrips_losslessly():
+    # a real input with zero imaginary part, through a complex conv with
+    # zero imaginary weights, gives the real conv bit for bit
     rng = np.random.default_rng(7)
-    t = Tensor.from_array(rng.normal(size=(3, 2)))
-    back = ComplexTensor.from_real(t).to_real()
-    assert np.array_equal(back.data, t.data)
-    z = ComplexTensor.from_arrays(np.ones((1,)), np.ones((1,)))
-    with pytest.raises(DimensionError):
-        z.to_real()
+    x = rng.normal(size=(2, 3, 3, 3, 2))
+    k = rng.normal(size=(2, 2, 2, 2, 3))
+    b = rng.normal(size=3)
+    out_re, out_im = conv3d_complex_batch(
+        x, np.zeros_like(x), ComplexConvParams(k, np.zeros_like(k), b, np.zeros(3))
+    )
+    assert np.array_equal(out_re, conv3d_real_batch(x, k, b))
+    assert np.all(out_im == 0.0)
 
 
 def test_tensors_are_immutable():
-    t = zeros((2, 2))
+    t = Tensor((2, 2), np.zeros(4))
     with pytest.raises(ValueError):
         t.data[0] = 1.0
     with pytest.raises(ValueError):
@@ -163,4 +160,37 @@ def test_shape_data_length_invariant():
     with pytest.raises(DimensionError):
         Tensor((2, 2), [1.0, 2.0, 3.0])
     with pytest.raises(DimensionError):
-        ComplexTensor((2,), [1.0, 2.0], [1.0])
+        Tensor((-1, 2), [1.0, 2.0])
+
+
+def traced_peak(fn, *args):
+    """Peak bytes allocated while fn runs, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_from_array_copies_at_most_once():
+    rng = np.random.default_rng(8)
+    frozen = rng.normal(size=(3, 4))
+    frozen.flags.writeable = False
+    assert np.shares_memory(Tensor.from_array(frozen).data, frozen)
+    single = rng.normal(size=(3, 4)).astype(np.float32)
+    single.flags.writeable = False
+    kept = Tensor.from_array(single)
+    assert kept.data.dtype == np.float32 and np.shares_memory(kept.data, single)
+    # a writable caller array is copied, so later writes cannot reach it
+    live = rng.normal(size=(3, 4))
+    t = Tensor.from_array(live)
+    live[0, 0] = 99.0
+    assert t.as_array()[0, 0] != 99.0
+    # a layout or dtype conversion is the one copy, frozen in place
+    big = rng.normal(size=(64, 64, 32))
+    for arr in (big.transpose(2, 0, 1), big.astype(np.float32)[:, :, ::2], big.astype(np.int64)):
+        t, peak = traced_peak(Tensor.from_array, arr)
+        assert t.as_array().shape == arr.shape and np.array_equal(t.as_array(), arr)
+        assert not t.data.flags.writeable
+        assert peak < 1.5 * t.data.nbytes

@@ -11,7 +11,7 @@ from hsiduo.train import (
     PatchSet,
     TrainConfig,
     adam_step,
-    cross_entropy,
+    cross_entropy_batch,
     evaluate_loss_accuracy,
     fit,
 )
@@ -46,6 +46,11 @@ def toy_patchset(rng, n, n_classes=2, bands=4, offset=3.0):
 # cross entropy
 
 
+def cross_entropy(pred, target):
+    """The batch loss on a single probability row."""
+    return cross_entropy_batch(np.asarray(pred)[None], np.asarray(target)[None])
+
+
 def test_cross_entropy_matching_one_hot_is_zero():
     assert cross_entropy(np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0])) == 0.0
 
@@ -70,10 +75,14 @@ def test_cross_entropy_matches_summation_oracle():
 
 
 def test_cross_entropy_validation():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError):
         cross_entropy(np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(DimensionError):
-        cross_entropy(np.array([0.9, 0.3]), np.array([1.0, 0.0]))
+    # a zero probability on the target class is clamped, not infinite
+    assert cross_entropy(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == -math.log(1e-12)
+    # the batch loss is the mean of the per-row losses
+    rows = np.array([[0.25, 0.75], [0.5, 0.5]])
+    onehot = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert abs(cross_entropy_batch(rows, onehot) - (math.log(4 / 3) + math.log(2)) / 2) < 1e-12
 
 
 # ---------------------------------------------------------------------------
