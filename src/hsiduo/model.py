@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import layers
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, IngestionError
 from .train import TrainConfig
 
 CHECKPOINT_FORMAT = "hsiduo-checkpoint-v1"
@@ -186,11 +187,53 @@ def config_hash(config: ModelConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the parameter table
+
+
+def _param_table(config: ModelConfig, n_classes: int) -> list:
+    """Every parameter, declared once in checkpoint and rng order, grouped
+    by layer: [(kind, [(name, shape, glorot), ...]), ...]. glorot is the
+    (fan_in, fan_out, scale) of a drawn weight and None for a bias, which
+    starts at zero and draws nothing. A complex weight is two real arrays,
+    re then im, each at scale 1/sqrt(2) so the expected modulus variance
+    matches the real initialization."""
+    table = []
+    for kind, convs, parts, scale in (
+        ("real_conv", config.real_convs, ("",), 1.0),
+        ("cplx_conv", config.complex_convs, ("_re", "_im"), 1.0 / np.sqrt(2.0)),
+    ):
+        cin = 1
+        for i, spec in enumerate(convs):
+            taps = math.prod(spec.kernel)
+            glorot = (taps * cin, taps * spec.channels, scale)
+            kernels = (*spec.kernel, cin, spec.channels)
+            table.append((kind, [(f"{kind}{i}.kernels{p}", kernels, glorot) for p in parts]
+                          + [(f"{kind}{i}.bias{p}", (spec.channels,), None) for p in parts]))
+            cin = spec.channels
+    cf = config.fused_channels()
+    if config.se_enabled:
+        red = cf // config.se_ratio
+        table.append(("se", [("se.w1", (red, cf), (cf, red, 1.0)), ("se.w2", (cf, red), (red, cf, 1.0))]))
+    rh, rw = config.stack_geometry(config.real_convs)[-1][:2]
+    n_in = rh * rw * cf
+    denses = [("dense", f"dense{i}", width) for i, width in enumerate(config.dense_widths)]
+    for kind, prefix, width in denses + [("head", "head", n_classes)]:
+        table.append((kind, [(f"{prefix}.weights", (width, n_in), (n_in, width, 1.0)),
+                             (f"{prefix}.bias", (width,), None)]))
+        n_in = width
+    return table
+
+
+# ---------------------------------------------------------------------------
 # the model
 
 
 class DualStreamModel:
-    """Holds both conv stacks, the optional SE block, and the FC head."""
+    """Holds both conv stacks, the optional SE block, and the FC head.
+
+    Every parameter is a view into one flat buffer, `flat`; the views are
+    taken afresh from it on each use, so none outlives a cast.
+    """
 
     def __init__(self, config: ModelConfig, n_classes: int):
         config.validate()
@@ -198,96 +241,55 @@ class DualStreamModel:
             raise ConfigError(f"n_classes: need >= 2 classes, got {n_classes}")
         self.config = config
         self.n_classes = n_classes
-        self.real_convs = []
-        self.cplx_convs = []
-        self.se = None
-        self.denses = []
-        self.head = None
+        self._table = _param_table(config, n_classes)
+        self.flat = np.zeros(sum(math.prod(s) for _, decls in self._table for _, s, _ in decls))
 
     @staticmethod
     def build(config: ModelConfig, n_classes: int, rng: np.random.Generator | None = None) -> "DualStreamModel":
         """Construct with Glorot-initialized weights (zeros when rng is None)."""
         model = DualStreamModel(config, n_classes)
-        if rng is None:
-            rng = np.random.default_rng(0)
-            zero = True
-        else:
-            zero = False
-
-        cin = 1
-        for spec in config.real_convs:
-            model.real_convs.append(layers.init_conv(rng, spec.kernel, cin, spec.channels))
-            cin = spec.channels
-        cin = 1
-        for spec in config.complex_convs:
-            model.cplx_convs.append(layers.init_complex_conv(rng, spec.kernel, cin, spec.channels))
-            cin = spec.channels
-        cf = config.fused_channels()
-        if config.se_enabled:
-            model.se = layers.init_se(rng, cf, config.se_ratio)
-        rh, rw = config.stack_geometry(config.real_convs)[-1][:2]
-        n_in = rh * rw * cf
-        for width in config.dense_widths:
-            model.denses.append(layers.init_dense(rng, n_in, width))
-            n_in = width
-        model.head = layers.init_dense(rng, n_in, n_classes)
-        if zero:
-            for _, arr in model.param_entries():
-                arr[...] = 0.0
+        if rng is not None:
+            decls = [decl for _, layer in model._table for decl in layer]
+            for (_, arr), (_, shape, glorot) in zip(model.param_entries(), decls):
+                if glorot is not None:
+                    arr[...] = layers.glorot_uniform(rng, shape, *glorot)
         return model
 
     # -- parameters ----------------------------------------------------
 
-    def param_entries(self):
-        """Live (name, array) pairs in declaration order."""
-        out = []
-        for i, p in enumerate(self.real_convs):
-            out.append((f"real_conv{i}.kernels", p.kernels))
-            out.append((f"real_conv{i}.bias", p.bias))
-        for i, p in enumerate(self.cplx_convs):
-            out.append((f"cplx_conv{i}.kernels_re", p.kernels_re))
-            out.append((f"cplx_conv{i}.kernels_im", p.kernels_im))
-            out.append((f"cplx_conv{i}.bias_re", p.bias_re))
-            out.append((f"cplx_conv{i}.bias_im", p.bias_im))
-        if self.se is not None:
-            out.append(("se.w1", self.se.w1))
-            out.append(("se.w2", self.se.w2))
-        for i, p in enumerate(self.denses):
-            out.append((f"dense{i}.weights", p.weights))
-            out.append((f"dense{i}.bias", p.bias))
-        out.append(("head.weights", self.head.weights))
-        out.append(("head.bias", self.head.bias))
+    def param_entries(self, buf: np.ndarray | None = None):
+        """(name, view) pairs in declaration order, into the live parameters
+        or into a buffer laid out like them, such as a gradient."""
+        buf = self.flat if buf is None else buf
+        out, end = [], 0
+        for _, decls in self._table:
+            for name, shape, _ in decls:
+                start, end = end, end + math.prod(shape)
+                out.append((name, buf[start:end].reshape(shape)))
+        return out
+
+    def layer_views(self, buf: np.ndarray | None = None) -> dict:
+        """The views of param_entries grouped as the layers use them: {kind:
+        [views per layer]}, a complex conv's as one layers.ComplexWeights."""
+        entries = iter(self.param_entries(buf))
+        out = {kind: [] for kind in ("real_conv", "cplx_conv", "se", "dense", "head")}
+        for kind, decls in self._table:
+            views = [next(entries)[1] for _ in decls]
+            out[kind].append(layers.ComplexWeights(*views) if kind == "cplx_conv" else views)
         return out
 
     def cast(self, dtype) -> "DualStreamModel":
-        """Convert every parameter array to dtype (f32 fast mode)."""
-        for p in self.real_convs:
-            p.kernels = p.kernels.astype(dtype)
-            p.bias = p.bias.astype(dtype)
-        for p in self.cplx_convs:
-            p.kernels_re = p.kernels_re.astype(dtype)
-            p.kernels_im = p.kernels_im.astype(dtype)
-            p.bias_re = p.bias_re.astype(dtype)
-            p.bias_im = p.bias_im.astype(dtype)
-        if self.se is not None:
-            self.se.w1 = self.se.w1.astype(dtype)
-            self.se.w2 = self.se.w2.astype(dtype)
-        for p in self.denses:
-            p.weights = p.weights.astype(dtype)
-            p.bias = p.bias.astype(dtype)
-        self.head.weights = self.head.weights.astype(dtype)
-        self.head.bias = self.head.bias.astype(dtype)
+        """Convert every parameter to dtype (f32 fast mode)."""
+        self.flat = self.flat.astype(dtype)
         return self
 
-    def snapshot_params(self) -> dict:
-        return {name: arr.copy() for name, arr in self.param_entries()}
+    def snapshot_params(self) -> np.ndarray:
+        return self.flat.copy()
 
-    def load_params(self, values: dict):
-        for name, arr in self.param_entries():
-            src = values[name]
-            if src.shape != arr.shape:
-                raise DimensionError(f"parameter {name}: shape {src.shape} != expected {arr.shape}")
-            arr[...] = src
+    def load_params(self, values: np.ndarray):
+        if values.shape != self.flat.shape:
+            raise DimensionError(f"parameters: shape {values.shape} != expected {self.flat.shape}")
+        self.flat[...] = values
 
     # -- forward -------------------------------------------------------
 
@@ -300,16 +302,17 @@ class DualStreamModel:
         """
         n = xr.shape[0]
         cache = {"real": [], "cplx": []}
+        w = self.layer_views()
 
         a = xr[..., None]
-        for p in self.real_convs:
-            pre = layers.conv3d_real_batch(a, p.kernels, p.bias)
+        for kernels, bias in w["real_conv"]:
+            pre = layers.conv3d_real_batch(a, kernels, bias)
             cache["real"].append((a, pre))
             a = np.maximum(pre, 0.0)
         real_out = a
 
         ar, ai = xc_re[..., None], xc_im[..., None]
-        for p in self.cplx_convs:
+        for p in w["cplx_conv"]:
             pre_re, pre_im = layers.conv3d_complex_batch(ar, ai, p)
             cache["cplx"].append((ar, ai, pre_re, pre_im))
             ar = np.maximum(pre_re, 0.0)
@@ -325,18 +328,16 @@ class DualStreamModel:
         cache["split"] = (rfold.shape[3], cr_fold.shape[3])
         cache["fused"] = fused
 
-        if self.se is not None:
-            se_out, se_cache = layers.se_forward_batch(fused, self.se)
-            cache["se"] = se_cache
-        else:
-            se_out = fused
+        se_out = fused
+        for w1, w2 in w["se"]:
+            se_out, cache["se"] = layers.se_forward_batch(fused, w1, w2)
 
         flat = se_out.reshape(n, -1)
         cache["flat_shape"] = se_out.shape
 
         h = flat
-        for i, p in enumerate(self.denses):
-            pre = layers.dense_batch(h, p)
+        for i, (weights, bias) in enumerate(w["dense"]):
+            pre = layers.dense_batch(h, weights, bias)
             act = np.maximum(pre, 0.0)
             if training and self.config.dropout_rate > 0.0:
                 rng = np.random.default_rng(np.random.SeedSequence(list(dropout_seed or (0,)) + [i]))
@@ -346,7 +347,7 @@ class DualStreamModel:
             cache.setdefault("dense", []).append((h, pre, mask))
             h = act if mask is None else act * mask
 
-        logits = layers.dense_batch(h, self.head)
+        logits = layers.dense_batch(h, *w["head"][0])
         cache["head_in"] = h
         probs = layers.softmax(logits)
         cache["probs"] = probs
@@ -379,18 +380,25 @@ class DualStreamModel:
 # checkpoint serialization
 
 
+def _layer_table(model: DualStreamModel) -> list:
+    """The manifest's layer records: each parameter's name, shape and byte
+    offset in the float32 payload, in declaration order."""
+    table, offset = [], 0
+    for name, arr in model.param_entries():
+        table.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += 4 * arr.size
+    return table
+
+
 def save_checkpoint(model: DualStreamModel, manifest_path: str, class_names=None):
-    """Write the JSON manifest plus flat little-endian float32 records."""
+    """Write the JSON manifest plus flat little-endian float32 records.
+
+    Both files are written to temporaries in the target directory and then
+    renamed over the old pair, the manifest last, so a failed save leaves
+    the previous checkpoint loadable.
+    """
     params_name = os.path.splitext(os.path.basename(manifest_path))[0] + ".bin"
     params_path = os.path.join(os.path.dirname(manifest_path), params_name)
-    layer_table = []
-    blobs = []
-    offset = 0
-    for name, arr in model.param_entries():
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        layer_table.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "dtype": "f32",
@@ -399,58 +407,78 @@ def save_checkpoint(model: DualStreamModel, manifest_path: str, class_names=None
         "config": model.config.to_json_dict(),
         "config_hash": config_hash(model.config),
         "params_file": params_name,
-        "layers": layer_table,
+        "layers": _layer_table(model),
     }
-    with open(params_path, "wb") as fh:
-        for raw in blobs:
-            fh.write(raw)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    tmp_params, tmp_manifest = params_path + ".tmp", manifest_path + ".tmp"
+    try:
+        with open(tmp_params, "wb") as fh:
+            fh.write(model.flat.astype("<f4").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        with open(tmp_manifest, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_params, params_path)
+        os.replace(tmp_manifest, manifest_path)
+    finally:
+        for tmp in (tmp_params, tmp_manifest):
+            if os.path.exists(tmp):
+                os.remove(tmp)
+
+
+# the manifest fields load_checkpoint reads, with their JSON types; exact
+# Python types, so a JSON true is not an integer
+_MANIFEST_FIELDS = (("format", str, "string"), ("config", dict, "object"), ("n_classes", int, "integer"),
+                    ("params_file", str, "string"), ("layers", list, "array"))
 
 
 def load_checkpoint(manifest_path: str):
-    """Rebuild the model from a manifest; returns (model, class_names)."""
-    from .errors import IngestionError
+    """Rebuild the model from a manifest; returns (model, class_names).
 
+    The layer table must be the one save_checkpoint writes for the
+    manifest's config; the error names the first field that differs.
+    """
+    where = f"checkpoint manifest {manifest_path}"
     if not os.path.exists(manifest_path):
-        raise IngestionError(f"checkpoint manifest not found: {manifest_path}")
+        raise IngestionError(f"{where}: not found")
     with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise IngestionError(f"malformed checkpoint manifest {manifest_path}: {exc}") from exc
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise IngestionError(f"unknown checkpoint format {manifest.get('format')!r}")
-    config = ModelConfig.from_json_dict(manifest["config"])
-    model = DualStreamModel.build(config, int(manifest["n_classes"]), rng=None)
+            raise IngestionError(f"{where}: malformed JSON: {exc}") from exc
+    if type(manifest) is not dict:
+        raise IngestionError(f"{where}: expected a JSON object, found {type(manifest).__name__}")
+    for key, kind, json_name in _MANIFEST_FIELDS:
+        if type(manifest.get(key)) is not kind:
+            found = type(manifest[key]).__name__ if key in manifest else "nothing"
+            raise IngestionError(f"{where}: field {key!r} must be a JSON {json_name}, found {found}")
+    if manifest["format"] != CHECKPOINT_FORMAT:
+        raise IngestionError(f"{where}: unknown checkpoint format {manifest['format']!r}")
+    model = DualStreamModel.build(ModelConfig.from_json_dict(manifest["config"]), manifest["n_classes"])
+
+    expected = _layer_table(model)
+    if len(manifest["layers"]) != len(expected):
+        raise IngestionError(f"{where}: {len(manifest['layers'])} layers, the config has {len(expected)}")
+    for i, (entry, want) in enumerate(zip(manifest["layers"], expected)):
+        if type(entry) is not dict:
+            raise IngestionError(f"{where}: layers[{i}] must be a JSON object, found {entry!r}")
+        for key, value in want.items():
+            if entry.get(key) != value:
+                found = repr(entry[key]) if key in entry else "nothing"
+                raise IngestionError(
+                    f"{where}: layers[{i}].{key} must be {value!r} for {want['name']}, found {found}"
+                )
+
     params_path = os.path.join(os.path.dirname(manifest_path), manifest["params_file"])
     if not os.path.exists(params_path):
         raise IngestionError(f"checkpoint payload not found: {params_path}")
-    raw = open(params_path, "rb").read()
-    entries = dict(model.param_entries())
-    table = manifest["layers"]
-    if sorted(entries) != sorted(e["name"] for e in table):
-        raise ConfigError("checkpoint layer table does not match the config architecture")
-    expected = sum(int(np.prod(e["shape"])) * 4 for e in table)
-    if len(raw) != expected:
+    with open(params_path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) != 4 * model.flat.size:
         raise IngestionError(
-            f"checkpoint payload {params_path}: expected {expected} bytes, found {len(raw)}"
+            f"checkpoint payload {params_path}: expected {4 * model.flat.size} bytes, found {len(raw)}"
         )
-    for entry in table:
-        arr = entries[entry["name"]]
-        shape = tuple(entry["shape"])
-        if shape != arr.shape:
-            raise ConfigError(
-                f"checkpoint layer {entry['name']}: shape {shape} incompatible with config {arr.shape}"
-            )
-        count = int(np.prod(shape))
-        offset = entry["offset"]
-        if not isinstance(offset, int) or offset < 0 or offset + 4 * count > len(raw):
-            raise IngestionError(
-                f"checkpoint layer {entry['name']}: offset {offset!r} + {4 * count} bytes "
-                f"lies outside the {len(raw)}-byte payload"
-            )
-        vals = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        arr[...] = vals.reshape(shape).astype(arr.dtype)
+    model.flat[...] = np.frombuffer(raw, dtype="<f4")
     return model, manifest.get("class_names")

@@ -88,10 +88,11 @@ def cross_entropy_batch(probs: np.ndarray, onehot: np.ndarray) -> float:
 
 
 def backward(model, batch, targets, training=False, dropout_seed=None):
-    """Mean batch loss and gradients for every parameter.
+    """Mean batch loss and the gradient of every parameter.
 
     batch is the (xr, xc_re, xc_im) triple of patch stacks; targets are
-    one-hot rows. Gradient keys mirror model.param_entries().
+    one-hot rows. The gradient is one flat buffer laid out like
+    model.flat; model.param_entries(grad) names its views.
     """
     xr, xc_re, xc_im = batch
     onehot = np.asarray(targets, dtype=np.float64)
@@ -103,32 +104,33 @@ def backward(model, batch, targets, training=False, dropout_seed=None):
         raise NumericError(f"non-finite loss; first bad layer: {model.find_nonfinite_layer(cache)}")
 
     n = probs.shape[0]
-    grads = {}
+    w = model.layer_views()
+    grad = np.zeros_like(model.flat)
+    g = model.layer_views(grad)
+
+    def put(views, *values):
+        for view, value in zip(views, values):
+            view[...] = value
 
     # softmax + cross-entropy, averaged over the batch
     dlogits = (probs - onehot) / n
 
-    dh, dw, db = layers.dense_batch_backward(cache["head_in"], model.head, dlogits)
-    grads["head.weights"] = dw
-    grads["head.bias"] = db
+    head_w, _ = w["head"][0]
+    dh, dw, db = layers.dense_batch_backward(cache["head_in"], head_w, dlogits)
+    put(g["head"][0], dw, db)
 
-    for i in range(len(model.denses) - 1, -1, -1):
+    for i in range(len(w["dense"]) - 1, -1, -1):
         h_in, pre, mask = cache["dense"][i]
         if mask is not None:
             dh = dh * mask
         dh = dh * (pre > 0)
-        dh, dw, db = layers.dense_batch_backward(h_in, model.denses[i], dh)
-        grads[f"dense{i}.weights"] = dw
-        grads[f"dense{i}.bias"] = db
+        dh, dw, db = layers.dense_batch_backward(h_in, w["dense"][i][0], dh)
+        put(g["dense"][i], dw, db)
 
-    d_se_out = dh.reshape(cache["flat_shape"])
-
-    if model.se is not None:
-        d_fused, dw1, dw2 = layers.se_backward_batch(cache["fused"], model.se, cache["se"], d_se_out)
-        grads["se.w1"] = dw1
-        grads["se.w2"] = dw2
-    else:
-        d_fused = d_se_out
+    d_fused = dh.reshape(cache["flat_shape"])
+    for (w1, w2), g_se in zip(w["se"], g["se"]):
+        d_fused, dw1, dw2 = layers.se_backward_batch(cache["fused"], w1, w2, cache["se"], d_fused)
+        put(g_se, dw1, dw2)
 
     c_real, c_cplx = cache["split"]
     d_rfold = d_fused[..., :c_real]
@@ -137,28 +139,24 @@ def backward(model, batch, targets, training=False, dropout_seed=None):
 
     real_shape, cplx_shape = cache["fold_shapes"]
     d_real = d_rfold.reshape(real_shape)
-    for i in range(len(model.real_convs) - 1, -1, -1):
+    for i in range(len(w["real_conv"]) - 1, -1, -1):
         x_in, pre = cache["real"][i]
         d_pre = d_real * (pre > 0)
-        d_real, dk, db = layers.conv3d_real_batch_backward(x_in, model.real_convs[i].kernels, d_pre)
-        grads[f"real_conv{i}.kernels"] = dk
-        grads[f"real_conv{i}.bias"] = db
+        d_real, dk, db = layers.conv3d_real_batch_backward(x_in, w["real_conv"][i][0], d_pre)
+        put(g["real_conv"][i], dk, db)
 
     d_re = d_crfold.reshape(cplx_shape)
     d_im = d_cifold.reshape(cplx_shape)
-    for i in range(len(model.cplx_convs) - 1, -1, -1):
+    for i in range(len(w["cplx_conv"]) - 1, -1, -1):
         xr_in, xi_in, pre_re, pre_im = cache["cplx"][i]
         d_pre_re = d_re * (pre_re > 0)
         d_pre_im = d_im * (pre_im > 0)
         d_re, d_im, dkr, dki, dbr, dbi = layers.conv3d_complex_batch_backward(
-            xr_in, xi_in, model.cplx_convs[i], d_pre_re, d_pre_im
+            xr_in, xi_in, w["cplx_conv"][i], d_pre_re, d_pre_im
         )
-        grads[f"cplx_conv{i}.kernels_re"] = dkr
-        grads[f"cplx_conv{i}.kernels_im"] = dki
-        grads[f"cplx_conv{i}.bias_re"] = dbr
-        grads[f"cplx_conv{i}.bias_im"] = dbi
+        put(g["cplx_conv"][i], dkr, dki, dbr, dbi)
 
-    return loss, grads
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +164,8 @@ def backward(model, batch, targets, training=False, dropout_seed=None):
 
 
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment buffers laid out like the parameter buffer, plus
+    the step counter."""
 
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -174,29 +173,34 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(arr) for name, arr in params}
-        self.v = {name: np.zeros_like(arr) for name, arr in params}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
 
-def adam_step(params, grads: dict, state: AdamState):
-    """One bias-corrected Adam update, applied in place to the live arrays."""
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState):
+    """One bias-corrected Adam update, applied in place to the flat
+    parameter buffer. Adam treats every value on its own, so one
+    vectorized update over the buffer equals one per parameter array:
+
+        m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g^2
+        params -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+
+    The step allocates one buffer and consumes grad as a second one, so
+    grad holds no gradient afterwards.
+    """
+    if grad.shape != params.shape:
+        raise DimensionError(f"gradient: shape {grad.shape} != parameters {params.shape}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
-    for name, arr in params:
-        g = grads[name]
-        if g.shape != arr.shape:
-            raise DimensionError(f"gradient {name}: shape {g.shape} != parameter {arr.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        arr -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v, tmp = state.m, state.v, np.empty_like(params)
+    m *= b1
+    m += np.multiply(grad, 1.0 - b1, out=tmp)
+    v *= b2
+    v += np.multiply(np.multiply(grad, grad, out=tmp), 1.0 - b2, out=tmp)
+    den = np.sqrt(np.divide(v, 1.0 - b2**state.t, out=grad), out=grad)
+    den += state.eps
+    step = np.multiply(np.divide(m, 1.0 - b1**state.t, out=tmp), state.lr, out=tmp)
+    params -= np.divide(step, den, out=tmp)
     return params, state
 
 
@@ -252,8 +256,7 @@ def fit(model, train_set: PatchSet, val_set: PatchSet, cfg: TrainConfig):
     if len(val_set) == 0:
         raise DataError("fit: empty validation set")
 
-    params = model.param_entries()
-    state = AdamState(params, lr=cfg.lr)
+    state = AdamState(model.flat, lr=cfg.lr)
     onehot_all = train_set.onehot(model.n_classes)
 
     best_loss = None
@@ -277,7 +280,7 @@ def fit(model, train_set: PatchSet, val_set: PatchSet, cfg: TrainConfig):
                 training=True,
                 dropout_seed=(cfg.seed, epoch, step),
             )
-            adam_step(params, grads, state)
+            adam_step(model.flat, grads, state)
             epoch_loss += loss * len(idx)
         train_loss = epoch_loss / len(train_set)
 

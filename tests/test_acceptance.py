@@ -93,7 +93,7 @@ def test_criterion_2_fft_oracle():
 
 def test_criterion_3_convolution_oracle():
     from test_layers import complex_conv_oracle, conv_complex, conv_oracle, conv_real
-    from hsiduo.layers import ComplexConvParams
+    from hsiduo.layers import ComplexWeights
 
     rng = np.random.default_rng(1)
     worst = 0.0
@@ -109,7 +109,7 @@ def test_criterion_3_convolution_oracle():
         kr = rng.normal(size=(3, 3, 3, 3, 4))
         ki = rng.normal(size=(3, 3, 3, 3, 4))
         br, bi = rng.normal(size=4), rng.normal(size=4)
-        out_re, out_im = conv_complex(xr, xi, ComplexConvParams(kr, ki, br, bi))
+        out_re, out_im = conv_complex(xr, xi, ComplexWeights(kr, ki, br, bi))
         want_re, want_im = complex_conv_oracle(xr, xi, kr, ki, br, bi)
         worst = max(worst, np.abs(out_re - want_re).max())
         worst = max(worst, np.abs(out_im - want_im).max())
@@ -123,7 +123,7 @@ def test_criterion_3_convolution_oracle():
 def test_criterion_4_complex_real_reduction():
     from test_layers import conv_complex, conv_real
     from hsiduo.layers import (
-        ComplexConvParams,
+        ComplexWeights,
         conv3d_real_batch_backward,
         conv3d_complex_batch_backward,
     )
@@ -132,7 +132,7 @@ def test_criterion_4_complex_real_reduction():
     x = rng.normal(size=(4, 4, 4, 2))
     k = rng.normal(size=(2, 2, 2, 2, 3))
     b = rng.normal(size=3)
-    out_re, out_im = conv_complex(x, np.zeros_like(x), ComplexConvParams(k, np.zeros_like(k), b, np.zeros(3)))
+    out_re, out_im = conv_complex(x, np.zeros_like(x), ComplexWeights(k, np.zeros_like(k), b, np.zeros(3)))
     want = conv_real(x, k, b)
     re_err = np.abs(out_re - want).max()
     im_err = np.abs(out_im).max()
@@ -142,7 +142,7 @@ def test_criterion_4_complex_real_reduction():
     xi = rng.normal(size=(2, 4, 4, 4, 2))
     kr = rng.normal(size=(2, 2, 2, 2, 3))
     ki = rng.normal(size=(2, 2, 2, 2, 3))
-    p = ComplexConvParams(kr, ki, rng.normal(size=3), rng.normal(size=3))
+    p = ComplexWeights(kr, ki, rng.normal(size=3), rng.normal(size=3))
     dre = rng.normal(size=(2, 3, 3, 3, 3))
     dim = rng.normal(size=(2, 3, 3, 3, 3))
     dxr, dxi, dkr, dki, dbr, dbi = conv3d_complex_batch_backward(xr, xi, p, dre, dim)
@@ -168,18 +168,15 @@ def test_criterion_4_complex_real_reduction():
 
 def test_criterion_5_se_semantics():
     from test_layers import se_single
-    from hsiduo.layers import SeParams
 
     rng = np.random.default_rng(3)
     u = rng.normal(size=(5, 7, 8))
-    p = SeParams(rng.normal(size=(4, 8)), rng.normal(size=(8, 4)), 2)
-    _, z, s = se_single(u, p)
+    _, z, s = se_single(u, rng.normal(size=(4, 8)), rng.normal(size=(8, 4)))
     worst = max(abs(z[c] - u[:, :, c].sum() / 35.0) for c in range(8))
     assert worst < 1e-14
     assert np.all((s > 0.0) & (s < 1.0))
 
-    zero = SeParams(np.zeros((4, 8)), np.zeros((8, 4)), 2)
-    assert np.all(se_single(u, zero)[2] == 0.5)
+    assert np.all(se_single(u, np.zeros((4, 8)), np.zeros((8, 4)))[2] == 0.5)
     report(5, "SE squeeze/excite semantics", True, f"(squeeze err {worst:.1e})")
 
 

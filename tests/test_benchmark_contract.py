@@ -28,3 +28,36 @@ def test_benchmark_spans_install():
     )
     proc = run_from_root("-c", code)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_counters_read_a_traced_fit():
+    # the FLOP counters read the complex conv's argument and check_fit reads
+    # param_entries; two epochs, because check_fit wants the loss to fall
+    code = (
+        "import sys, time\n"
+        "sys.path[:0] = ['src', 'perfbench']\n"
+        "import numpy as np\n"
+        "import checks\n"
+        "from spans import Tracer\n"
+        "tracer = Tracer(time.monotonic)\n"
+        "tracer.install()\n"
+        "from hsiduo import model, spectral, train\n"
+        "conv = [model.ConvLayerSpec((3, 3, 3), 2)]\n"
+        "cfg = model.ModelConfig(pca_components=4, patch_size=8, real_convs=conv, complex_convs=conv,\n"
+        "                        se_ratio=2, dense_widths=[4], dropout_rate=0.2)\n"
+        "rng = np.random.default_rng(0)\n"
+        "labels = 1 + np.arange(8) % 2\n"
+        "xr = rng.normal(0.0, 0.2, size=(8, 8, 8, 4)) + 3.0 * (labels - 1.5)[:, None, None, None]\n"
+        "patches = train.PatchSet(xr, *spectral.bandwise_fft_arrays(xr), labels)\n"
+        "net = model.DualStreamModel.build(cfg, 2, rng)\n"
+        "start = time.monotonic()\n"
+        "net, history = train.fit(net, patches, patches,\n"
+        "                         train.TrainConfig(epochs=2, patience=2, batch_size=4, lr=1e-2))\n"
+        "metrics = tracer.layer_metrics(start, time.monotonic() - start)\n"
+        "errors = checks.check_fit(history, net.param_entries(), 2)\n"
+        "assert metrics['layers.conv_fwd_gflop'] > 0, metrics\n"
+        "assert metrics['layers.conv_bwd_gflop'] > 0, metrics\n"
+        "assert not errors, errors\n"
+    )
+    proc = run_from_root("-c", code)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

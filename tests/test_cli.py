@@ -292,6 +292,25 @@ def break_layer_offset(ckpt, dataset):
     return "map", "head.bias"
 
 
+def break_manifest_not_object(ckpt, dataset):
+    open(ckpt, "w").write("[]")
+    return "map", "expected a JSON object"
+
+
+def break_manifest_no_config(ckpt, dataset):
+    manifest = json.load(open(ckpt))
+    del manifest["config"]
+    json.dump(manifest, open(ckpt, "w"))
+    return "map", "'config'"
+
+
+def break_layer_no_shape(ckpt, dataset):
+    manifest = json.load(open(ckpt))
+    del manifest["layers"][0]["shape"]
+    json.dump(manifest, open(ckpt, "w"))
+    return "map", "layers[0].shape"
+
+
 def break_cube_data_entry(ckpt, dataset):
     path = os.path.join(dataset, "cube.json")
     header = json.load(open(path))
@@ -309,7 +328,9 @@ def break_labels_data_entry(ckpt, dataset):
 
 
 @pytest.mark.parametrize(
-    "corrupt", [break_manifest_json, break_layer_offset, break_cube_data_entry, break_labels_data_entry]
+    "corrupt",
+    [break_manifest_json, break_manifest_not_object, break_manifest_no_config, break_layer_no_shape,
+     break_layer_offset, break_cube_data_entry, break_labels_data_entry],
 )
 def test_malformed_input_exits_2_and_names_field(tmp_path, dataset, capsys, corrupt):
     ckpt = untrained_checkpoint(tmp_path)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hsiduo.layers import (
-    ComplexConvParams,
+    ComplexWeights,
     conv3d_complex_batch,
     conv3d_complex_batch_backward,
     conv3d_real_batch,
@@ -64,6 +64,7 @@ def clean_instance(seed, config_kwargs=None, n=1):
 def fd_check(model, batch, onehot, grads, indices_per_param=None, rng=None):
     """Central finite differences against the analytic gradients."""
     worst = 0.0
+    named = dict(model.param_entries(grads))
     for name, arr in model.param_entries():
         flat = arr.reshape(-1)
         if indices_per_param is None:
@@ -80,7 +81,7 @@ def fd_check(model, batch, onehot, grads, indices_per_param=None, rng=None):
             l2 = cross_entropy_batch(p2, onehot)
             flat[k] = orig
             fd = (l1 - l2) / (2 * FD_H)
-            an = grads[name].reshape(-1)[k]
+            an = named[name].reshape(-1)[k]
             rel = abs(fd - an) / max(1e-6, abs(fd) + abs(an))
             assert rel < FD_TOL, f"{name}[{k}]: analytic {an} vs fd {fd} (rel {rel})"
             worst = max(worst, rel)
@@ -131,7 +132,7 @@ def test_complex_conv_gradients_match_expanded_four_real_convs():
     ki = rng.normal(size=(2, 2, 2, 2, 3))
     br = rng.normal(size=3)
     bi = rng.normal(size=3)
-    p = ComplexConvParams(kr, ki, br, bi)
+    p = ComplexWeights(kr, ki, br, bi)
 
     out_re, out_im = conv3d_complex_batch(xr, xi, p)
     exp_re = conv3d_real_batch(xr, kr, None) - conv3d_real_batch(xi, ki, None) + br
@@ -161,13 +162,13 @@ def test_saturated_softmax_is_stationary():
     # the one-hot target and every gradient vanishes
     rng = np.random.default_rng(3)
     model = DualStreamModel.build(tiny_config(), 3, rng)
-    model.head.bias[0] = 200.0
+    dict(model.param_entries())["head.bias"][0] = 200.0
     batch, _ = tiny_batch(rng, n=1)
     onehot = np.array([[1.0, 0.0, 0.0]])
     probs, _ = model.forward_batch(*batch)
     assert probs[0, 0] > 1.0 - 1e-12
     _, grads = backward(model, batch, onehot)
-    total = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+    total = np.sqrt(sum(float((g**2).sum()) for _, g in model.param_entries(grads)))
     assert total < 1e-6
 
 
@@ -177,8 +178,7 @@ def test_first_adam_step_does_not_increase_loss():
         model = DualStreamModel.build(tiny_config(), 3, rng)
         batch, onehot = tiny_batch(rng, n=1)
         loss0, grads = backward(model, batch, onehot)
-        params = model.param_entries()
-        adam_step(params, grads, AdamState(params, lr=1e-4))
+        adam_step(model.flat, grads, AdamState(model.flat, lr=1e-4))
         probs, _ = model.forward_batch(*batch)
         loss1 = cross_entropy_batch(probs, onehot)
         assert loss1 <= loss0 + 1e-12
@@ -192,8 +192,8 @@ def test_eval_dropout_backward_is_identity():
     batch, onehot = tiny_batch(np.random.default_rng(5))
     _, g1 = backward(model, batch, onehot, training=False)
     _, g2 = backward(twin, batch, onehot, training=False)
-    for name in g1:
-        assert np.array_equal(g1[name], g2[name])
+    for (name, a), (_, b) in zip(model.param_entries(g1), twin.param_entries(g2)):
+        assert np.array_equal(a, b), name
 
 
 def test_training_dropout_gradients_match_fd_with_fixed_mask():
@@ -206,6 +206,7 @@ def test_training_dropout_gradients_match_fd_with_fixed_mask():
         return cross_entropy_batch(probs, onehot)
 
     worst = 0.0
+    named = dict(model.param_entries(grads))
     for name, arr in model.param_entries():
         flat = arr.reshape(-1)
         for k in rng.choice(flat.size, size=min(3, flat.size), replace=False):
@@ -216,7 +217,7 @@ def test_training_dropout_gradients_match_fd_with_fixed_mask():
             l2 = loss_with_mask()
             flat[k] = orig
             fd = (l1 - l2) / (2 * FD_H)
-            an = grads[name].reshape(-1)[k]
+            an = named[name].reshape(-1)[k]
             rel = abs(fd - an) / max(1e-6, abs(fd) + abs(an))
             assert rel < FD_TOL
             worst = max(worst, rel)
@@ -227,7 +228,7 @@ def test_nonfinite_loss_raises_numeric_error():
 
     rng = np.random.default_rng(8)
     model = DualStreamModel.build(tiny_config(), 3, rng)
-    model.real_convs[0].kernels[...] = np.inf
+    dict(model.param_entries())["real_conv0.kernels"][...] = np.inf
     batch, onehot = tiny_batch(rng)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="real_conv0"):
         backward(model, batch, onehot)

@@ -3,9 +3,7 @@ import pytest
 
 from hsiduo.errors import ConfigError, DimensionError
 from hsiduo.layers import (
-    ComplexConvParams,
-    DenseParams,
-    SeParams,
+    ComplexWeights,
     conv3d_complex_batch,
     conv3d_real_batch,
     dense_batch,
@@ -27,9 +25,9 @@ def conv_complex(xr, xi, p):
     return out_re[0], out_im[0]
 
 
-def se_single(u, p):
+def se_single(u, w1, w2):
     """se_forward_batch on one [H,W,C] map: (output, squeeze z, gate s)."""
-    out, (z, _, _, s) = se_forward_batch(u[None], p)
+    out, (z, _, _, s) = se_forward_batch(u[None], w1, w2)
     return out[0], z[0], s[0]
 
 
@@ -51,8 +49,9 @@ def fusion_cache(xr, xc_re, xc_im, complex_bands=None):
         dropout_rate=0.0,
     )
     model = DualStreamModel.build(cfg, 2)  # all-zero weights
-    model.real_convs[0].kernels[...] = 1.0
-    model.cplx_convs[0].kernels_re[:, :, 0] = 1.0
+    params = dict(model.param_entries())
+    params["real_conv0.kernels"][...] = 1.0
+    params["cplx_conv0.kernels_re"][:, :, 0] = 1.0
     _, cache = model.forward_batch(xr, xc_re, xc_im)
     return cache
 
@@ -133,7 +132,7 @@ def test_complex_conv_reduces_to_real():
     x = rng.normal(size=(4, 4, 4, 2))
     k = rng.normal(size=(2, 2, 2, 2, 3))
     b = rng.normal(size=3)
-    cp = ComplexConvParams(k, np.zeros_like(k), b, np.zeros(3))
+    cp = ComplexWeights(k, np.zeros_like(k), b, np.zeros(3))
     out_re, out_im = conv_complex(x, np.zeros_like(x), cp)
     want = conv_real(x, k, b)
     assert np.abs(out_re - want).max() < 1e-14
@@ -145,7 +144,7 @@ def test_complex_conv_rotation_by_i():
     zr = rng.normal(size=(2, 2, 2, 1))
     zi = rng.normal(size=(2, 2, 2, 1))
     kernel_im = np.ones((1, 1, 1, 1, 1))
-    cp = ComplexConvParams(np.zeros_like(kernel_im), kernel_im, np.zeros(1), np.zeros(1))
+    cp = ComplexWeights(np.zeros_like(kernel_im), kernel_im, np.zeros(1), np.zeros(1))
     out_re, out_im = conv_complex(zr, zi, cp)
     assert np.allclose(out_re, -zi)
     assert np.allclose(out_im, zr)
@@ -159,7 +158,7 @@ def test_conv3d_complex_matches_loop_oracle():
     ki = rng.normal(size=(2, 2, 2, 2, 2))
     br = rng.normal(size=2)
     bi = rng.normal(size=2)
-    out_re, out_im = conv_complex(xr, xi, ComplexConvParams(kr, ki, br, bi))
+    out_re, out_im = conv_complex(xr, xi, ComplexWeights(kr, ki, br, bi))
     want_re, want_im = complex_conv_oracle(xr, xi, kr, ki, br, bi)
     assert np.abs(out_re - want_re).max() < 1e-12
     assert np.abs(out_im - want_im).max() < 1e-12
@@ -239,21 +238,21 @@ def test_fuse_streams_random_elementwise():
 
 def test_se_squeeze_direct_average():
     u = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])
-    _, z, _ = se_single(u, SeParams(np.zeros((1, 1)), np.zeros((1, 1)), 1))
+    _, z, _ = se_single(u, np.zeros((1, 1)), np.zeros((1, 1)))
     assert z[0] == 2.5
 
 
 def test_se_squeeze_constant_channel():
-    p = SeParams(np.zeros((1, 2)), np.zeros((2, 1)), 2)
+    p = (np.zeros((1, 2)), np.zeros((2, 1)))
     for v in (0.0, -3.25, 7.5):
-        _, z, _ = se_single(np.full((3, 5, 2), v), p)
+        _, z, _ = se_single(np.full((3, 5, 2), v), *p)
         assert np.all(z == v)
 
 
 def test_se_squeeze_matches_summation_oracle():
     rng = np.random.default_rng(10)
     u = rng.normal(size=(3, 5, 4))
-    _, got, _ = se_single(u, SeParams(np.zeros((2, 4)), np.zeros((4, 2)), 2))
+    _, got, _ = se_single(u, np.zeros((2, 4)), np.zeros((4, 2)))
     for c in range(4):
         acc = 0.0
         for i in range(3):
@@ -263,8 +262,8 @@ def test_se_squeeze_matches_summation_oracle():
 
 
 def test_se_excite_zero_weights_give_half():
-    p = SeParams(np.zeros((2, 4)), np.zeros((4, 2)), 2)
-    _, _, s = se_single(np.random.default_rng(11).normal(size=(2, 3, 4)), p)
+    p = (np.zeros((2, 4)), np.zeros((4, 2)))
+    _, _, s = se_single(np.random.default_rng(11).normal(size=(2, 3, 4)), *p)
     assert np.all(s == 0.5)
 
 
@@ -273,7 +272,7 @@ def test_se_excite_matches_composition_oracle():
     w1 = rng.normal(size=(2, 4))
     w2 = rng.normal(size=(4, 2))
     u = rng.normal(size=(2, 3, 4))
-    _, _, got = se_single(u, SeParams(w1, w2, 2))
+    _, _, got = se_single(u, w1, w2)
     z = u.sum(axis=(0, 1)) / 6.0
     hidden = np.maximum(w1 @ z, 0.0)
     want = 1.0 / (1.0 + np.exp(-(w2 @ hidden)))
@@ -285,8 +284,8 @@ def test_se_gate_never_flips_feature_signs():
     rng = np.random.default_rng(19)
     for _ in range(10):
         u = rng.normal(size=(3, 3, 4))
-        p = SeParams(rng.normal(size=(2, 4)), rng.normal(size=(4, 2)), 2)
-        out, _, _ = se_single(u, p)
+        p = (rng.normal(size=(2, 4)), rng.normal(size=(4, 2)))
+        out, _, _ = se_single(u, *p)
         assert np.all(np.sign(out) == np.sign(u))
 
 
@@ -295,25 +294,25 @@ def test_se_scale_cases():
     u = rng.uniform(0.5, 1.5, size=(2, 3, 4))
     # positive features and w1 = 1 give a positive hidden unit; w2 = +-1000
     # saturates the gate to exactly 1 or 0
-    open_gate = SeParams(np.ones((1, 4)), np.full((4, 1), 1000.0), 4)
-    shut_gate = SeParams(np.ones((1, 4)), np.full((4, 1), -1000.0), 4)
-    assert np.array_equal(se_single(u, open_gate)[0], u)
-    assert np.all(se_single(u, shut_gate)[0] == 0)
-    out, _, s = se_single(u, SeParams(rng.normal(size=(2, 4)), rng.normal(size=(4, 2)), 2))
+    open_gate = (np.ones((1, 4)), np.full((4, 1), 1000.0))
+    shut_gate = (np.ones((1, 4)), np.full((4, 1), -1000.0))
+    assert np.array_equal(se_single(u, *open_gate)[0], u)
+    assert np.all(se_single(u, *shut_gate)[0] == 0)
+    out, _, s = se_single(u, rng.normal(size=(2, 4)), rng.normal(size=(4, 2)))
     for i in range(2):
         for j in range(3):
             for c in range(4):
                 assert out[i, j, c] == s[c] * u[i, j, c]
     with pytest.raises(ValueError):
-        se_single(u[..., :3], open_gate)
+        se_single(u[..., :3], *open_gate)
 
 
 def test_dense_identity():
     x = np.random.default_rng(14).normal(size=(2, 5))
-    p = DenseParams(np.eye(5), np.zeros(5))
-    assert np.allclose(dense_batch(x, p), x)
+    w, b = np.eye(5), np.zeros(5)
+    assert np.allclose(dense_batch(x, w, b), x)
     with pytest.raises(ValueError):
-        dense_batch(np.zeros((2, 4)), p)
+        dense_batch(np.zeros((2, 4)), w, b)
 
 
 def test_softmax_properties():
@@ -369,12 +368,12 @@ def test_se_positive_scaling_properties():
     u = rng.normal(size=(2, 2, 4))
     # w2 = 0 holds the gate at 1/2 for every input, so the block is
     # positively homogeneous; powers of two scale exactly in IEEE arithmetic
-    p = SeParams(rng.normal(size=(2, 4)), np.zeros((4, 2)), 2)
+    p = (rng.normal(size=(2, 4)), np.zeros((4, 2)))
     lam = 4.0
-    out, z, _ = se_single(u, p)
-    out_lam, z_lam, _ = se_single(lam * u, p)
+    out, z, _ = se_single(u, *p)
+    out_lam, z_lam, _ = se_single(lam * u, *p)
     assert np.array_equal(z_lam, lam * z)
     assert np.array_equal(out_lam, lam * out)
     lam = 3.7  # general positive scale, up to rounding
-    _, z_lam, _ = se_single(lam * u, p)
+    _, z_lam, _ = se_single(lam * u, *p)
     assert np.abs(z_lam - lam * z).max() < 1e-12

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -13,6 +14,7 @@ from hsiduo.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from hsiduo.train import AdamState, adam_step
 
 
 def small_config():
@@ -77,6 +79,41 @@ def test_param_entries_declaration_order():
     assert names.index("se.w1") > names.index("cplx_conv2.bias_im")
     assert names[-2:] == ["head.weights", "head.bias"]
 
+    # every parameter is a view into the one flat buffer, and the views
+    # tile it
+    entries = model.param_entries()
+    assert all(np.shares_memory(arr, model.flat) for _, arr in entries)
+    assert sum(arr.size for _, arr in entries) == model.flat.size
+
+    # after a cast, the views, the forward pass's too, are views of the new
+    # buffer: an Adam step on it shows in views taken before the step
+    model.cast(np.float32)
+    entries = model.param_entries()
+    forward_views = [arr for group in model.layer_views().values() for layer in group for arr in layer]
+    assert len(forward_views) == len(entries)
+    before = [arr.copy() for _, arr in entries]
+    adam_step(model.flat, np.ones_like(model.flat), AdamState(model.flat, lr=1e-3))
+    for (name, arr), fwd, old in zip(entries, forward_views, before):
+        assert arr.dtype == np.float32 and not np.array_equal(arr, old), name
+        assert np.array_equal(fwd, arr), name
+
+    assert not DualStreamModel.build(small_config(), 3).flat.any()
+    assert all(not arr.any() for _, arr in DualStreamModel.build(small_config(), 3).param_entries())
+
+
+def test_init_order_pins_checkpoint_bytes(tmp_path):
+    # both files of this seeded build's checkpoint; a reordered declaration
+    # or rng draw changes the payload or the manifest's layer table, and
+    # with them every trained checkpoint
+    model = DualStreamModel.build(small_config(), 3, np.random.default_rng(0))
+    save_checkpoint(model, str(tmp_path / "checkpoint.json"))
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("checkpoint.bin", "checkpoint.json")}
+    assert digests == {
+        "checkpoint.bin": "58d6dfc6b537abe95ecf5e746327c9407060eb72b7707896348de30880b0be09",
+        "checkpoint.json": "2bcaf05d6d198f404882e87ee954d701986d9da98d1e299e4473d5b2f7468e46",
+    }
+
 
 def test_checkpoint_roundtrip_and_manifest_layout(tmp_path):
     rng = np.random.default_rng(1)
@@ -111,6 +148,26 @@ def test_checkpoint_errors(tmp_path):
         fh.write(b"\x00" * 4)
     with pytest.raises(IngestionError, match="bytes"):
         load_checkpoint(path)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = str(tmp_path / "ckpt.json")
+    old = DualStreamModel.build(small_config(), 3, np.random.default_rng(1))
+    save_checkpoint(old, path)
+
+    def dump_then_fail(doc, fh, **kwargs):
+        fh.write('{"format": ')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError):
+        save_checkpoint(DualStreamModel.build(small_config(), 3, np.random.default_rng(2)), path)
+    monkeypatch.undo()
+
+    loaded, _ = load_checkpoint(path)
+    for (_, got), (_, want) in zip(loaded.param_entries(), old.param_entries()):
+        assert np.array_equal(got, want.astype(np.float32).astype(np.float64))
+    assert sorted(os.listdir(tmp_path)) == ["ckpt.bin", "ckpt.json"]
 
 
 def test_se_disabled_manifest_has_no_se_entries(tmp_path):

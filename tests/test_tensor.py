@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hsiduo.errors import ConfigError, DimensionError
-from hsiduo.layers import ComplexConvParams, conv3d_complex_batch, conv3d_real_batch
+from hsiduo.layers import ComplexWeights, conv3d_complex_batch, conv3d_real_batch
 from hsiduo.model import ConvLayerSpec, DualStreamModel, ModelConfig
 from hsiduo.tensor import Tensor
 from test_layers import fusion_cache
@@ -142,7 +142,7 @@ def test_complex_zero_im_roundtrips_losslessly():
     k = rng.normal(size=(2, 2, 2, 2, 3))
     b = rng.normal(size=3)
     out_re, out_im = conv3d_complex_batch(
-        x, np.zeros_like(x), ComplexConvParams(k, np.zeros_like(k), b, np.zeros(3))
+        x, np.zeros_like(x), ComplexWeights(k, np.zeros_like(k), b, np.zeros(3))
     )
     assert np.array_equal(out_re, conv3d_real_batch(x, k, b))
     assert np.all(out_im == 0.0)

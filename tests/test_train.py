@@ -91,28 +91,28 @@ def test_cross_entropy_validation():
 
 def test_adam_first_step_magnitude_is_lr():
     for g0 in (1e-6, 0.5, 100.0):
-        params = [("w", np.array([1.0]))]
+        params = np.array([1.0])
         state = AdamState(params, lr=1e-3)
-        adam_step(params, {"w": np.array([g0])}, state)
-        delta = 1.0 - params[0][1][0]
+        adam_step(params, np.array([g0]), state)
+        delta = 1.0 - params[0]
         assert abs(delta - 1e-3) / 1e-3 < 1e-4 or g0 < 1e-4
         assert delta > 0
 
 
 def test_adam_zero_gradient_is_noop():
-    params = [("w", np.array([1.0, -2.0]))]
+    params = np.array([1.0, -2.0])
     state = AdamState(params, lr=1e-3)
     for _ in range(5):
-        adam_step(params, {"w": np.zeros(2)}, state)
-    assert np.array_equal(params[0][1], [1.0, -2.0])
+        adam_step(params, np.zeros(2), state)
+    assert np.array_equal(params, [1.0, -2.0])
 
 
 def test_adam_three_steps_match_scalar_recurrence():
     g = 0.37
-    params = [("w", np.array([2.0]))]
+    params = np.array([2.0])
     state = AdamState(params, lr=1e-3)
     for _ in range(3):
-        adam_step(params, {"w": np.array([g])}, state)
+        adam_step(params, np.array([g]), state)
 
     # hand-rolled recurrence
     theta, m, v = 2.0, 0.0, 0.0
@@ -122,14 +122,14 @@ def test_adam_three_steps_match_scalar_recurrence():
         m_hat = m / (1 - 0.9**t)
         v_hat = v / (1 - 0.999**t)
         theta -= 1e-3 * m_hat / (math.sqrt(v_hat) + 1e-8)
-    assert abs(params[0][1][0] - theta) < 1e-12
+    assert abs(params[0] - theta) < 1e-12
 
 
 def test_adam_shape_mismatch():
-    params = [("w", np.zeros(3))]
+    params = np.zeros(3)
     state = AdamState(params, lr=1e-3)
     with pytest.raises(DimensionError):
-        adam_step(params, {"w": np.zeros(2)}, state)
+        adam_step(params, np.zeros(2), state)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +189,7 @@ def test_fit_is_deterministic():
     h1, p1 = run()
     h2, p2 = run()
     assert h1 == h2
-    for name in p1:
-        assert np.array_equal(p1[name], p2[name])
+    assert np.array_equal(p1, p2)
 
 
 def test_fit_returns_best_observed_checkpoint():
@@ -230,7 +229,7 @@ def test_f32_precision_mode_runs():
     cfg = TrainConfig(epochs=3, patience=3, lr=1e-3, seed=0, precision="f32")
     model, history = fit(model, train, val, cfg)
     assert len(history) == 3
-    assert model.head.weights.dtype == np.float32
+    assert all(arr.dtype == np.float32 for _, arr in model.param_entries())
 
 
 def test_f32_gradients_agree_with_f64():
@@ -250,6 +249,6 @@ def test_f32_gradients_agree_with_f64():
     l64, g64 = backward(m64, (data64.xr, data64.xc_re, data64.xc_im), onehot)
     l32, g32 = backward(m32, (data32.xr, data32.xc_re, data32.xc_im), onehot)
     assert abs(l64 - l32) / max(abs(l64), 1e-9) < 1e-5
-    for name in g64:
-        scale = np.abs(g64[name]).max() + 1e-9
-        assert np.abs(g64[name] - g32[name]).max() / scale < 1e-4
+    for (name, a64), (_, a32) in zip(m64.param_entries(g64), m32.param_entries(g32)):
+        scale = np.abs(a64).max() + 1e-9
+        assert np.abs(a64 - a32).max() / scale < 1e-4, name
