@@ -18,7 +18,7 @@ import numpy as np
 
 from . import layers
 from .errors import ConfigError, DimensionError, IngestionError
-from .train import TrainConfig
+from .train import TrainConfig, json_field, json_int_list
 
 CHECKPOINT_FORMAT = "hsiduo-checkpoint-v1"
 
@@ -153,29 +153,30 @@ class ModelConfig:
         cfg = ModelConfig()
 
         def convs(key):
-            items = doc.get(key)
+            items = json_field(doc, key, list, None)
             if items is None:
                 return _default_convs()
             out = []
             for i, item in enumerate(items):
-                try:
-                    out.append(ConvLayerSpec(tuple(int(k) for k in item["kernel"]), int(item["channels"])))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ConfigError(f"{key}[{i}]: expected {{kernel:[3 ints], channels:int}}") from exc
-                if len(out[-1].kernel) != 3:
-                    raise ConfigError(f"{key}[{i}].kernel: expected 3 dims")
+                where = f"{key}[{i}]."
+                if type(item) is not dict or not {"kernel", "channels"} <= item.keys():
+                    raise ConfigError(f"{key}[{i}]: expected {{kernel:[3 ints], channels:int}}")
+                kernel = json_int_list(item, "kernel", None, where)
+                if len(kernel) != 3:
+                    raise ConfigError(f"{where}kernel: expected 3 dims")
+                out.append(ConvLayerSpec(tuple(kernel), json_field(item, "channels", int, None, where)))
             return out
 
         cfg = replace(
             cfg,
-            pca_components=int(doc.get("pca_components", cfg.pca_components)),
-            patch_size=int(doc.get("patch_size", cfg.patch_size)),
+            pca_components=json_field(doc, "pca_components", int, cfg.pca_components),
+            patch_size=json_field(doc, "patch_size", int, cfg.patch_size),
             real_convs=convs("real_convs"),
             complex_convs=convs("complex_convs"),
-            se_ratio=int(doc.get("se_ratio", cfg.se_ratio)),
-            se_enabled=bool(doc.get("se_enabled", cfg.se_enabled)),
-            dense_widths=[int(w) for w in doc.get("dense_widths", cfg.dense_widths)],
-            dropout_rate=float(doc.get("dropout_rate", cfg.dropout_rate)),
+            se_ratio=json_field(doc, "se_ratio", int, cfg.se_ratio),
+            se_enabled=json_field(doc, "se_enabled", bool, cfg.se_enabled),
+            dense_widths=json_int_list(doc, "dense_widths", cfg.dense_widths),
+            dropout_rate=json_field(doc, "dropout_rate", float, cfg.dropout_rate),
             train=TrainConfig.from_json_dict(doc.get("train", {})),
         )
         return cfg

@@ -65,13 +65,37 @@ class TrainConfig:
             if key not in known:
                 raise ConfigError(f"train.{key}: unknown config field")
         return TrainConfig(
-            epochs=int(doc.get("epochs", cfg.epochs)),
-            batch_size=int(doc.get("batch_size", cfg.batch_size)),
-            patience=int(doc.get("patience", cfg.patience)),
-            lr=float(doc.get("lr", cfg.lr)),
-            seed=int(doc.get("seed", cfg.seed)),
-            precision=str(doc.get("precision", cfg.precision)),
+            epochs=json_field(doc, "epochs", int, cfg.epochs, "train."),
+            batch_size=json_field(doc, "batch_size", int, cfg.batch_size, "train."),
+            patience=json_field(doc, "patience", int, cfg.patience, "train."),
+            lr=json_field(doc, "lr", float, cfg.lr, "train."),
+            seed=json_field(doc, "seed", int, cfg.seed, "train."),
+            precision=json_field(doc, "precision", str, cfg.precision, "train."),
         )
+
+
+_JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list"}
+
+
+def json_field(doc: dict, key: str, kind: type, default, where: str = ""):
+    """doc[key] if its JSON type is exactly kind, default if key is absent.
+    A number field also takes an integer; no field takes true for 1 or 2.7
+    for an integer. The ConfigError names the field as where + key."""
+    if key not in doc:
+        return default
+    value = doc[key]
+    if type(value) is kind or (kind is float and type(value) is int):
+        return float(value) if kind is float else value
+    raise ConfigError(f"{where}{key}: expected {_JSON_KINDS[kind]}, got {value!r}")
+
+
+def json_int_list(doc: dict, key: str, default, where: str = "") -> list:
+    """json_field for a list of integers; the error names the bad element."""
+    values = json_field(doc, key, list, default, where)
+    for i, v in enumerate(values):
+        if type(v) is not int:
+            raise ConfigError(f"{where}{key}[{i}]: expected an integer, got {v!r}")
+    return list(values)
 
 
 # ---------------------------------------------------------------------------

@@ -279,12 +279,12 @@ def untrained_checkpoint(tmp_path, n_classes=3):
     return path
 
 
-def break_manifest_json(ckpt, dataset):
+def break_manifest_json(ckpt, dataset, doc):
     open(ckpt, "w").write('{"format": "hsiduo-checkpoint-v1", ')
     return "map", "checkpoint manifest"
 
 
-def break_layer_offset(ckpt, dataset):
+def break_layer_offset(ckpt, dataset, doc):
     manifest = json.load(open(ckpt))
     payload = os.path.getsize(os.path.join(os.path.dirname(ckpt), manifest["params_file"]))
     manifest["layers"][-1]["offset"] = payload - 4  # head.bias holds 3 floats
@@ -292,26 +292,26 @@ def break_layer_offset(ckpt, dataset):
     return "map", "head.bias"
 
 
-def break_manifest_not_object(ckpt, dataset):
+def break_manifest_not_object(ckpt, dataset, doc):
     open(ckpt, "w").write("[]")
     return "map", "expected a JSON object"
 
 
-def break_manifest_no_config(ckpt, dataset):
+def break_manifest_no_config(ckpt, dataset, doc):
     manifest = json.load(open(ckpt))
     del manifest["config"]
     json.dump(manifest, open(ckpt, "w"))
     return "map", "'config'"
 
 
-def break_layer_no_shape(ckpt, dataset):
+def break_layer_no_shape(ckpt, dataset, doc):
     manifest = json.load(open(ckpt))
     del manifest["layers"][0]["shape"]
     json.dump(manifest, open(ckpt, "w"))
     return "map", "layers[0].shape"
 
 
-def break_cube_data_entry(ckpt, dataset):
+def break_cube_data_entry(ckpt, dataset, doc):
     path = os.path.join(dataset, "cube.json")
     header = json.load(open(path))
     header["data"] = [header["data"]]
@@ -319,7 +319,7 @@ def break_cube_data_entry(ckpt, dataset):
     return "train", "'data'"
 
 
-def break_labels_data_entry(ckpt, dataset):
+def break_labels_data_entry(ckpt, dataset, doc):
     path = os.path.join(dataset, "labels.json")
     header = json.load(open(path))
     header["data"] = {"file": header["data"]}
@@ -327,19 +327,65 @@ def break_labels_data_entry(ckpt, dataset):
     return "map", "'data'"
 
 
+def break_config_pca_text(ckpt, dataset, doc):
+    doc["pca_components"] = "abc"
+    return "train", "pca_components"
+
+
+def break_config_pca_fraction(ckpt, dataset, doc):
+    doc["pca_components"] = 2.7
+    return "train", "pca_components"
+
+
+def break_config_dense_scalar(ckpt, dataset, doc):
+    doc["dense_widths"] = 5
+    return "train", "dense_widths"
+
+
+def break_config_se_text(ckpt, dataset, doc):
+    doc["se_enabled"] = "false"
+    return "train", "se_enabled"
+
+
+def break_config_kernel_fraction(ckpt, dataset, doc):
+    doc["real_convs"][0]["kernel"] = [3, 3, 8.5]
+    return "train", "real_convs[0].kernel[2]"
+
+
+def break_config_lr_text(ckpt, dataset, doc):
+    doc["train"]["lr"] = "fast"
+    return "train", "train.lr"
+
+
+def break_config_epochs_bool(ckpt, dataset, doc):
+    doc["train"]["epochs"] = True
+    return "train", "train.epochs"
+
+
+def break_manifest_config_type(ckpt, dataset, doc):
+    manifest = json.load(open(ckpt))
+    manifest["config"]["dense_widths"] = 5
+    json.dump(manifest, open(ckpt, "w"))
+    return "map", "dense_widths"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [break_manifest_json, break_manifest_not_object, break_manifest_no_config, break_layer_no_shape,
-     break_layer_offset, break_cube_data_entry, break_labels_data_entry],
+     break_layer_offset, break_cube_data_entry, break_labels_data_entry,
+     break_config_pca_text, break_config_pca_fraction, break_config_dense_scalar, break_config_se_text,
+     break_config_kernel_fraction, break_config_lr_text, break_config_epochs_bool,
+     break_manifest_config_type],
 )
 def test_malformed_input_exits_2_and_names_field(tmp_path, dataset, capsys, corrupt):
     ckpt = untrained_checkpoint(tmp_path)
-    command, field = corrupt(ckpt, dataset)
+    doc = small_config_doc(epochs=1)
+    command, field = corrupt(ckpt, dataset, doc)
     inputs = ["--cube", os.path.join(dataset, "cube.json"), "--labels", os.path.join(dataset, "labels.json")]
     if command == "map":
         args = ["map", *inputs, "--checkpoint", ckpt, "--out", str(tmp_path / "m.ppm")]
     else:
-        config = write_config(tmp_path, small_config_doc(epochs=1))
+        config = write_config(tmp_path, doc)
         args = ["train", *inputs, "--config", config, "--out", str(tmp_path / "run")]
     assert main(args) == 2
     assert field in capsys.readouterr().err

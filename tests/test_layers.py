@@ -1,11 +1,16 @@
+from math import prod
+
 import numpy as np
 import pytest
 
+from hsiduo import layers
 from hsiduo.errors import ConfigError, DimensionError
 from hsiduo.layers import (
     ComplexWeights,
     conv3d_complex_batch,
+    conv3d_complex_batch_backward,
     conv3d_real_batch,
+    conv3d_real_batch_backward,
     dense_batch,
     dropout_mask,
     relu,
@@ -162,6 +167,116 @@ def test_conv3d_complex_matches_loop_oracle():
     want_re, want_im = complex_conv_oracle(xr, xi, kr, ki, br, bi)
     assert np.abs(out_re - want_re).max() < 1e-12
     assert np.abs(out_im - want_im).max() < 1e-12
+
+
+def conv_backward_oracle(x, k, dout):
+    """Nested-loop gradients of the valid cross-correlation over a batch:
+    dx accumulates conj(K)*dout and dk conj(X)*dout. On complex arrays the
+    re and im parts are the real-composite gradients of the split parts:
+    with dout = dre + i*dim, dx = dxr + i*dxi and dk = dkr + i*dki."""
+    n, ho, wo, do, cout = dout.shape
+    mh, mw, md, cin, _ = k.shape
+    dx = np.zeros(x.shape, dtype=dout.dtype)
+    dk = np.zeros(k.shape, dtype=dout.dtype)
+    for b in range(n):
+        for xx in range(ho):
+            for yy in range(wo):
+                for zz in range(do):
+                    for o in range(cout):
+                        g = dout[b, xx, yy, zz, o]
+                        for i in range(mh):
+                            for j in range(mw):
+                                for kk in range(md):
+                                    for c in range(cin):
+                                        dx[b, xx + i, yy + j, zz + kk, c] += np.conj(k[i, j, kk, c, o]) * g
+                                        dk[i, j, kk, c, o] += np.conj(x[b, xx + i, yy + j, zz + kk, c]) * g
+    return dx, dk
+
+
+# the default model's first two layers: an 8x8x16 patch through a
+# depth-spanning 3x3x16 kernel with one input channel, then a 3x3x1 kernel
+# over 64 channels (Cout cut to keep the loop oracle fast)
+CONV_GEOMETRIES = [((8, 8, 16, 1), (3, 3, 16, 1, 3)), ((6, 6, 1, 64), (3, 3, 1, 64, 3))]
+
+
+def conv_case(rng, n, xshape, kshape):
+    """Random split-part input, weights and output gradient for one layer."""
+    xr, xi = rng.normal(size=(2, n, *xshape))
+    kr, ki = rng.normal(size=(2, *kshape))
+    p = ComplexWeights(kr, ki, rng.normal(size=kshape[4]), rng.normal(size=kshape[4]))
+    out_shape = (n, *(s - m + 1 for s, m in zip(xshape[:3], kshape[:3])), kshape[4])
+    dre, dim = rng.normal(size=(2, *out_shape))
+    return xr, xi, p, dre, dim
+
+
+@pytest.mark.parametrize("xshape, kshape", CONV_GEOMETRIES)
+def test_conv_backward_matches_loop_oracle(xshape, kshape):
+    xr, xi, p, dre, dim = conv_case(np.random.default_rng(19), 3, xshape, kshape)
+
+    dx, dk, db = conv3d_real_batch_backward(xr, p.kernels_re, dre)
+    want_dx, want_dk = conv_backward_oracle(xr, p.kernels_re, dre)
+    assert np.abs(dx - want_dx).max() < 1e-12
+    assert np.abs(dk - want_dk).max() < 1e-12
+    assert np.abs(db - dre.sum(axis=(0, 1, 2, 3))).max() < 1e-12
+
+    dxr, dxi, dkr, dki, dbr, dbi = conv3d_complex_batch_backward(xr, xi, p, dre, dim)
+    want_dx, want_dk = conv_backward_oracle(xr + 1j * xi, p.kernels_re + 1j * p.kernels_im, dre + 1j * dim)
+    assert np.abs(dxr - want_dx.real).max() < 1e-12
+    assert np.abs(dxi - want_dx.imag).max() < 1e-12
+    assert np.abs(dkr - want_dk.real).max() < 1e-12
+    assert np.abs(dki - want_dk.imag).max() < 1e-12
+    assert np.abs(dbr - dre.sum(axis=(0, 1, 2, 3))).max() < 1e-12
+    assert np.abs(dbi - dim.sum(axis=(0, 1, 2, 3))).max() < 1e-12
+
+
+@pytest.mark.parametrize("xshape, kshape", CONV_GEOMETRIES)
+def test_conv_pieces_match_single_samples(xshape, kshape):
+    # a batch the im2col bound splits into three pieces, the last of one
+    # sample: each sample's output and input gradient equal what it gets
+    # alone, and the kernel and bias gradients the sums over samples
+    out_cells = prod(s - m + 1 for s, m in zip(xshape[:3], kshape[:3]))
+    per_piece = layers._IM2COL_BYTES // (out_cells * prod(kshape[:4]) * 8)
+    n = 2 * per_piece + 1
+    xr, xi, p, dre, dim = conv_case(np.random.default_rng(20), n, xshape, kshape)
+
+    batch = [
+        conv3d_real_batch(xr, p.kernels_re, p.bias_re),
+        *conv3d_complex_batch(xr, xi, p),
+        *conv3d_real_batch_backward(xr, p.kernels_re, dre),
+        *conv3d_complex_batch_backward(xr, xi, p, dre, dim),
+    ]
+    per_sample = [np.zeros_like(a) for a in batch]
+    for b in range(n):
+        one = [
+            conv3d_real_batch(xr[b : b + 1], p.kernels_re, p.bias_re),
+            *conv3d_complex_batch(xr[b : b + 1], xi[b : b + 1], p),
+            *conv3d_real_batch_backward(xr[b : b + 1], p.kernels_re, dre[b : b + 1]),
+            *conv3d_complex_batch_backward(xr[b : b + 1], xi[b : b + 1], p, dre[b : b + 1], dim[b : b + 1]),
+        ]
+        for acc, got in zip(per_sample, one):
+            if acc.shape[0] == n:  # per-sample outputs and input gradients
+                acc[b] = got[0]
+            else:  # kernel and bias gradients sum over the batch
+                acc += got
+    for got, want in zip(batch, per_sample):
+        if got.shape[0] == n:
+            assert np.abs(got - want).max() < 1e-12
+        else:  # sums of up to n * 36 products of unit normals
+            assert np.abs(got - want).max() < 1e-10
+
+
+def test_complex_conv_working_set_is_bounded():
+    from test_tensor import traced_peak
+
+    # layer 1 at the inference batch: the outputs take 4 MiB; columns of the
+    # whole batch would add two 18.9 MB matrices
+    rng = np.random.default_rng(21)
+    xr, xi = rng.normal(size=(2, 256, 6, 6, 1, 64))
+    kr, ki = rng.normal(size=(2, 3, 3, 1, 64, 64))
+    p = ComplexWeights(kr, ki, np.zeros(64), np.zeros(64))
+    (out_re, out_im), peak = traced_peak(conv3d_complex_batch, xr, xi, p)
+    assert out_re.shape == out_im.shape == (256, 4, 4, 1, 64)
+    assert peak < 16 * 2**20
 
 
 def crelu_through_model(re, im):
