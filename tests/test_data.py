@@ -1,9 +1,12 @@
 import json
 import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from hsiduo import data
 from hsiduo.data import (
     HsiCube,
     LabelMap,
@@ -57,6 +60,18 @@ def test_load_cube_converts_in_one_pass(tmp_path):
     assert np.array_equal(arr, vals) and arr.flags.c_contiguous and not arr.flags.writeable
     # the float32 payload plus the one float64 cube, with no further copy
     assert peak < 2.0 * vals.nbytes
+
+
+def test_loaders_close_their_files(tmp_path, monkeypatch):
+    save_cube(HsiCube(Tensor.from_array(np.ones((2, 3, 4)))), str(tmp_path / "cube.json"))
+    save_labels(LabelMap(np.ones((2, 3), dtype=int)), str(tmp_path / "labels.json"))
+    unraised = []
+    monkeypatch.setattr(sys, "unraisablehook", unraised.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)  # raised when a file is freed open
+        load_cube(str(tmp_path / "cube.json"))
+        load_labels(str(tmp_path / "labels.json"))
+    assert not unraised
 
 
 def test_labels_roundtrip_with_names(tmp_path):
@@ -151,14 +166,98 @@ def test_pca_matches_dense_eigensolver():
 
 def test_jacobi_eigh_against_numpy():
     rng = np.random.default_rng(3)
-    for n in (2, 5, 12):
+    for n in (2, 5, 12, 1, 3, 103):  # odd sizes take the dummy-index padding path
         m = rng.normal(size=(n, n))
         sym = (m + m.T) / 2
         vals, vecs = jacobi_eigh(sym)
+        assert vals.shape == (n,) and vecs.shape == (n, n)
+        assert np.all(np.diff(vals) <= 0)
         w = np.sort(np.linalg.eigvalsh(sym))[::-1]
         assert np.abs(vals - w).max() < 1e-10
         # eigen-equation residual
         assert np.abs(sym @ vecs - vecs * vals).max() < 1e-9
+        assert np.abs(vecs.T @ vecs - np.eye(n)).max() < 1e-12
+
+
+def test_jacobi_eigh_zero_and_diagonal_matrices():
+    # nothing to rotate: returned as they are, sorted descending
+    for n in (3, 4):
+        vals, vecs = jacobi_eigh(np.zeros((n, n)))
+        assert np.array_equal(vals, np.zeros(n)) and np.array_equal(vecs, np.eye(n))
+    vals, vecs = jacobi_eigh(np.diag([2.0, -1.0, 5.0]))
+    assert np.array_equal(vals, [5.0, 2.0, -1.0])
+    assert np.array_equal(vecs, np.eye(3)[:, [2, 0, 1]])
+
+
+def test_jacobi_eigh_residuals_on_a_wide_spectrum():
+    # Q diag(logspace(0, -6)) Q^T: six decades, like a band covariance.
+    # off(A) taken as sqrt(||A||^2 - ||diag A||^2) cancels below about
+    # 1e-8 ||A||, and a bound of tol * max(1, ||A||) is absolute below unit
+    # norm; either stops short of a 1e-12 relative off-diagonal norm
+    q, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(103, 103)))
+    for scale in (1.0, 1e-8):
+        sym = scale * (q * np.logspace(0, -6, 103)) @ q.T
+        vals, vecs = jacobi_eigh(sym)
+        assert np.linalg.norm(sym @ vecs - vecs * vals, axis=0).max() <= 1e-11 * vals[0]
+
+
+def test_round_robin_schedule_meets_every_pair_once():
+    for m in (2, 4, 6, 104):
+        perm = data._round_robin_perm(m)
+        labels = np.arange(m)
+        pairs = []
+        for _ in range(m - 1):
+            pairs += [tuple(sorted(labels[k : k + 2])) for k in range(0, m, 2)]
+            labels = labels[perm]
+        assert sorted(pairs) == [(p, q) for p in range(m) for q in range(p + 1, m)]
+        assert np.array_equal(labels, np.arange(m))  # a sweep ends where it began
+
+
+def test_fit_pca_row_blocks_match_one_shot(monkeypatch):
+    # two full row blocks and a ragged third
+    block = data._PCA_BLOCK_ROWS
+    n, b = 2 * block + 37, 6
+    rng = np.random.default_rng(8)
+    vals = rng.normal(size=(n, 1, b)) @ np.diag([3.0, 2.0, 1.5, 1.0, 0.5, 0.25]) + 5.0
+    seen = []
+    monkeypatch.setattr(data, "jacobi_eigh", lambda cov: seen.append(cov.copy()) or jacobi_eigh(cov))
+    model, reduced = fit_pca(HsiCube(Tensor.from_array(vals)), 4)
+
+    pixels = vals.reshape(n, b)
+    centered = pixels - pixels.mean(axis=0)
+    cov = centered.T @ centered / (n - 1)
+    assert np.abs(seen[0] - cov).max() <= 1e-12 * np.abs(cov).max()
+    ref = centered @ model.components
+    assert reduced.shape == (n, 1, 4)
+    assert np.abs(reduced.as_array().reshape(n, 4) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_fit_pca_holds_no_centred_copy_of_the_cube():
+    from test_tensor import traced_peak
+
+    n, b = 4 * data._PCA_BLOCK_ROWS + 37, 103
+    vals = np.random.default_rng(10).normal(size=(n, 1, b))
+    (model, reduced), peak = traced_peak(fit_pca, HsiCube(Tensor.from_array(vals)), 4)
+    # one block of centred pixels and the reduced cube, not a cube-sized copy
+    assert peak < 0.5 * vals.nbytes
+    assert not np.shares_memory(reduced.data, vals)
+
+
+def test_fit_pca_is_scale_invariant():
+    # reflectance-like cube: mean 0.2, variation along a DCT basis with std
+    # falling from 0.05 over three decades, so ||C||_F is well below 1; the
+    # same cube stored in units 1e-4 as large has the same principal axes
+    rng = np.random.default_rng(9)
+    b = 32
+    axis = np.arange(b)
+    basis = np.cos(np.pi * (axis[:, None] + 0.5) * axis[None, :] / b)
+    basis /= np.linalg.norm(basis, axis=0)
+    vals = 0.2 + (rng.normal(size=(20, 20, b)) * 0.05 * 1e-3 ** (axis / (b - 1))) @ basis.T
+    model, _ = fit_pca(HsiCube(Tensor.from_array(vals)), 8)
+    small, _ = fit_pca(HsiCube(Tensor.from_array(1e-4 * vals)), 8)
+    assert np.abs(small.components - model.components).max() <= 1e-9
+    lam = model.explained_variance
+    assert np.abs(1e8 * small.explained_variance - lam).max() <= 1e-9 * lam[0]
 
 
 def test_pca_rejects_bad_component_count():
