@@ -110,12 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _patch_stacks(std_array, rows, cols, patch_size):
-    """Real patches and their band-wise FFTs, all three in std_array's dtype."""
+    """Real patches and their band-wise FFTs (re, im)."""
     from . import data, spectral
 
     xr = data.extract_patches_array(std_array, rows, cols, patch_size)
-    xc_re, xc_im = spectral.bandwise_fft_arrays(xr)
-    return xr, xc_re.astype(std_array.dtype, copy=False), xc_im.astype(std_array.dtype, copy=False)
+    return (xr, *spectral.bandwise_fft_arrays(xr))
 
 
 def build_patchset(std_array, samples, patch_size):
@@ -166,6 +165,8 @@ def run_training(cube, label_map, config, seed: int):
     from .train import fit
 
     config.validate()
+    train_cfg = replace(config.train, seed=seed)
+    train_cfg.validate()  # a --seed override meets the config's bound
     _check_scene(cube, label_map)
     n_classes = label_map.n_classes
     if n_classes < 2:
@@ -175,8 +176,6 @@ def run_training(cube, label_map, config, seed: int):
     _, reduced = fit_pca(cube, config.pca_components)
     std = standardize(reduced)
     std_array = std.as_array()
-    if config.train.precision == "f32":
-        std_array = std_array.astype(np.float32)
 
     train_samples, val_samples, test_samples = stratified_split(label_map, seed=seed)
     train_ps = build_patchset(std_array, train_samples, config.patch_size)
@@ -185,9 +184,6 @@ def run_training(cube, label_map, config, seed: int):
     model = DualStreamModel.build(
         config, n_classes, rng=np.random.default_rng(np.random.SeedSequence([seed, 0x1D17]))
     )
-    if config.train.precision == "f32":
-        model.cast(np.float32)
-    train_cfg = replace(config.train, seed=seed)
     model, history = fit(model, train_ps, val_ps, train_cfg)
 
     pred = predict_samples(model, std_array, test_samples.rows, test_samples.cols, config.patch_size)

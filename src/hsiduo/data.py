@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
+from . import schema
 from .errors import ConfigError, DataError, DimensionError, IngestionError, NumericError
+from .schema import at_least
 from .tensor import Tensor
 
 
@@ -122,15 +124,18 @@ def _read_header(header_path: str) -> dict:
         raise IngestionError(f"header not found: {header_path}")
     try:
         with open(header_path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return schema.read(json.load(fh), dict, f"header {header_path}", IngestionError)
     except json.JSONDecodeError as exc:
         raise IngestionError(f"malformed header {header_path}: {exc}") from exc
 
 
+def _header_field(header: dict, header_path: str, key: str, kind, default=MISSING, meta=None):
+    """header[key] read as the JSON type kind; an absent key takes default."""
+    return schema.read(header.get(key, default), kind, f"header {header_path}: {key}", IngestionError, meta)
+
+
 def _read_payload(header_path: str, header: dict, expected_bytes: int) -> bytes:
-    data_name = header.get("data")
-    if not isinstance(data_name, str) or not data_name:
-        raise IngestionError(f"header {header_path}: 'data' must name the payload file, got {data_name!r}")
+    data_name = _header_field(header, header_path, "data", str, meta={"bound": ("must name the payload file", len)})
     payload_path = os.path.join(os.path.dirname(header_path), data_name)
     if not os.path.exists(payload_path):
         raise IngestionError(f"payload not found: {payload_path}")
@@ -146,15 +151,13 @@ def _read_payload(header_path: str, header: dict, expected_bytes: int) -> bytes:
 def load_cube(header_path: str) -> HsiCube:
     """Read a float32 BSQ cube declared by its JSON header."""
     header = _read_header(header_path)
-    try:
-        h, w, b = int(header["height"]), int(header["width"]), int(header["bands"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IngestionError(f"header {header_path} missing height/width/bands") from exc
-    dtype = header.get("dtype", "f32")
+    h, w, b = (_header_field(header, header_path, k, int, meta=at_least(1))
+               for k in ("height", "width", "bands"))
+    dtype = _header_field(header, header_path, "dtype", str, "f32")
     if dtype not in _CUBE_DTYPES:
         raise IngestionError(f"unknown cube dtype {dtype!r} in {header_path}")
-    if header.get("interleave", "bsq") != "bsq":
-        raise IngestionError(f"unsupported interleave {header.get('interleave')!r}")
+    if _header_field(header, header_path, "interleave", str, "bsq") != "bsq":
+        raise IngestionError(f"header {header_path}: interleave: only 'bsq' is supported")
     raw = _read_payload(header_path, header, h * w * b * 4)
     arr = np.frombuffer(raw, dtype=_CUBE_DTYPES[dtype]).reshape(b, h, w)
     # one pass from BSQ float32 to row-major float64; read-only, so Tensor keeps it
@@ -186,16 +189,14 @@ def save_cube(cube: HsiCube, header_path: str):
 
 def load_labels(header_path: str) -> LabelMap:
     header = _read_header(header_path)
-    try:
-        h, w = int(header["height"]), int(header["width"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IngestionError(f"header {header_path} missing height/width") from exc
-    dtype = header.get("dtype", "u16")
+    h, w = (_header_field(header, header_path, k, int, meta=at_least(1)) for k in ("height", "width"))
+    dtype = _header_field(header, header_path, "dtype", str, "u16")
     if dtype not in _LABEL_DTYPES:
         raise IngestionError(f"unknown label dtype {dtype!r} in {header_path}")
+    classes = _header_field(header, header_path, "classes", list[str], [])
     raw = _read_payload(header_path, header, h * w * 2)
     labels = np.frombuffer(raw, dtype=_LABEL_DTYPES[dtype]).reshape(h, w)
-    return LabelMap(labels, tuple(header.get("classes", ())))
+    return LabelMap(labels, tuple(classes))
 
 
 def save_labels(label_map: LabelMap, header_path: str):

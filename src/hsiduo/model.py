@@ -12,21 +12,22 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from . import layers
+from . import layers, schema
 from .errors import ConfigError, DimensionError, IngestionError
-from .train import TrainConfig, json_field, json_int_list
+from .schema import at_least
+from .train import TrainConfig
 
 CHECKPOINT_FORMAT = "hsiduo-checkpoint-v1"
 
 
 @dataclass
 class ConvLayerSpec:
-    kernel: tuple  # (mh, mw, md)
-    channels: int
+    kernel: tuple[int, int, int] = field(metadata=at_least(1))  # (mh, mw, md)
+    channels: int = field(metadata=at_least(1))
 
 
 def _default_convs():
@@ -42,20 +43,21 @@ def _default_convs():
 
 @dataclass
 class ModelConfig:
-    """Every architecture choice left open by the protocol, made explicit.
+    """Every architecture choice left open by the protocol, made explicit,
+    as one field table (see schema).
 
     Defaults: three conv layers per stream collapsing an 8x8x16 patch to a
     1x1 fused map of 192 channels, a 128-wide hidden layer, SE ratio 4.
     """
 
-    pca_components: int = 16
+    pca_components: int = field(default=16, metadata=at_least(1))
     patch_size: int = 8
-    real_convs: list = field(default_factory=_default_convs)
-    complex_convs: list = field(default_factory=_default_convs)
-    se_ratio: int = 4
+    real_convs: list[ConvLayerSpec] = field(default_factory=_default_convs)
+    complex_convs: list[ConvLayerSpec] = field(default_factory=_default_convs)
+    se_ratio: int = field(default=4, metadata=at_least(1))
     se_enabled: bool = True
-    dense_widths: list = field(default_factory=lambda: [128])
-    dropout_rate: float = 0.55
+    dense_widths: list[int] = field(default_factory=lambda: [128], metadata=at_least(1))
+    dropout_rate: float = field(default=0.55, metadata=at_least(0, below=1))
     train: TrainConfig = field(default_factory=TrainConfig)
 
     # -- geometry -----------------------------------------------------
@@ -77,26 +79,19 @@ class ModelConfig:
         return rd * rc + 2 * cd * cc
 
     def validate(self):
-        """Raise ConfigError naming the offending field."""
+        """Raise ConfigError naming the offending field: the per-field types
+        and bounds of the table, then the checks that span fields."""
+        schema.read(self.to_json_dict(), ModelConfig, "")
         s = self.patch_size
         if s < 2 or (s & (s - 1)) != 0:
             raise ConfigError(f"patch_size: must be a power of two >= 2, got {s}")
-        if self.pca_components < 1:
-            raise ConfigError(f"pca_components: must be >= 1, got {self.pca_components}")
-        if not self.real_convs or not self.complex_convs:
-            raise ConfigError("real_convs/complex_convs: need at least one conv layer per stream")
         for name, convs in (("real_convs", self.real_convs), ("complex_convs", self.complex_convs)):
-            h = w = s
-            d = self.pca_components
-            for i, spec in enumerate(convs):
-                mh, mw, md = spec.kernel
-                if min(mh, mw, md) < 1 or spec.channels < 1:
-                    raise ConfigError(f"{name}[{i}]: kernel dims and channels must be >= 1")
-                h, w, d = h - mh + 1, w - mw + 1, d - md + 1
+            if not convs:
+                raise ConfigError(f"{name}: need at least one conv layer per stream")
+            for i, (h, w, d, _) in enumerate(self.stack_geometry(convs)):
                 if min(h, w, d) < 1:
                     raise ConfigError(
-                        f"{name}[{i}]: valid padding exhausts the input "
-                        f"(dims become {(h, w, d)})"
+                        f"{name}[{i}]: valid padding exhausts the input (dims become {(h, w, d)})"
                     )
         rgeo = self.stack_geometry(self.real_convs)[-1]
         cgeo = self.stack_geometry(self.complex_convs)[-1]
@@ -105,81 +100,17 @@ class ModelConfig:
                 f"complex_convs: spatial output {cgeo[:2]} differs from real stream {rgeo[:2]}; "
                 "streams must align for fusion"
             )
-        if self.se_enabled:
-            cf = self.fused_channels()
-            if self.se_ratio < 1 or cf % self.se_ratio != 0:
-                raise ConfigError(f"se_ratio: {self.se_ratio} does not divide fused channels {cf}")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ConfigError(f"dropout_rate: must be in [0,1), got {self.dropout_rate}")
-        if any(wd < 1 for wd in self.dense_widths):
-            raise ConfigError(f"dense_widths: all widths must be >= 1, got {self.dense_widths}")
+        if self.se_enabled and (cf := self.fused_channels()) % self.se_ratio != 0:
+            raise ConfigError(f"se_ratio: {self.se_ratio} does not divide fused channels {cf}")
         self.train.validate()
 
     # -- serialization ------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pca_components": self.pca_components,
-            "patch_size": self.patch_size,
-            "real_convs": [{"kernel": list(c.kernel), "channels": c.channels} for c in self.real_convs],
-            "complex_convs": [
-                {"kernel": list(c.kernel), "channels": c.channels} for c in self.complex_convs
-            ],
-            "se_ratio": self.se_ratio,
-            "se_enabled": self.se_enabled,
-            "dense_widths": list(self.dense_widths),
-            "dropout_rate": self.dropout_rate,
-            "train": self.train.to_json_dict(),
-        }
+    to_json_dict = schema.to_json
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ModelConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config: expected a JSON object")
-        known = {
-            "pca_components",
-            "patch_size",
-            "real_convs",
-            "complex_convs",
-            "se_ratio",
-            "se_enabled",
-            "dense_widths",
-            "dropout_rate",
-            "train",
-        }
-        for key in doc:
-            if key not in known:
-                raise ConfigError(f"{key}: unknown config field")
-        cfg = ModelConfig()
-
-        def convs(key):
-            items = json_field(doc, key, list, None)
-            if items is None:
-                return _default_convs()
-            out = []
-            for i, item in enumerate(items):
-                where = f"{key}[{i}]."
-                if type(item) is not dict or not {"kernel", "channels"} <= item.keys():
-                    raise ConfigError(f"{key}[{i}]: expected {{kernel:[3 ints], channels:int}}")
-                kernel = json_int_list(item, "kernel", None, where)
-                if len(kernel) != 3:
-                    raise ConfigError(f"{where}kernel: expected 3 dims")
-                out.append(ConvLayerSpec(tuple(kernel), json_field(item, "channels", int, None, where)))
-            return out
-
-        cfg = replace(
-            cfg,
-            pca_components=json_field(doc, "pca_components", int, cfg.pca_components),
-            patch_size=json_field(doc, "patch_size", int, cfg.patch_size),
-            real_convs=convs("real_convs"),
-            complex_convs=convs("complex_convs"),
-            se_ratio=json_field(doc, "se_ratio", int, cfg.se_ratio),
-            se_enabled=json_field(doc, "se_enabled", bool, cfg.se_enabled),
-            dense_widths=json_int_list(doc, "dense_widths", cfg.dense_widths),
-            dropout_rate=json_field(doc, "dropout_rate", float, cfg.dropout_rate),
-            train=TrainConfig.from_json_dict(doc.get("train", {})),
-        )
-        return cfg
+        return schema.read(doc, ModelConfig, "")
 
 
 def config_hash(config: ModelConfig) -> str:
@@ -233,7 +164,7 @@ class DualStreamModel:
     """Holds both conv stacks, the optional SE block, and the FC head.
 
     Every parameter is a view into one flat buffer, `flat`; the views are
-    taken afresh from it on each use, so none outlives a cast.
+    taken afresh from it on each use.
     """
 
     def __init__(self, config: ModelConfig, n_classes: int):
@@ -278,11 +209,6 @@ class DualStreamModel:
             views = [next(entries)[1] for _ in decls]
             out[kind].append(layers.ComplexWeights(*views) if kind == "cplx_conv" else views)
         return out
-
-    def cast(self, dtype) -> "DualStreamModel":
-        """Convert every parameter to dtype (f32 fast mode)."""
-        self.flat = self.flat.astype(dtype)
-        return self
 
     def snapshot_params(self) -> np.ndarray:
         return self.flat.copy()
@@ -342,7 +268,7 @@ class DualStreamModel:
             act = np.maximum(pre, 0.0)
             if training and self.config.dropout_rate > 0.0:
                 rng = np.random.default_rng(np.random.SeedSequence(list(dropout_seed or (0,)) + [i]))
-                mask = layers.dropout_mask(act.shape, self.config.dropout_rate, rng).astype(act.dtype)
+                mask = layers.dropout_mask(act.shape, self.config.dropout_rate, rng)
             else:
                 mask = None
             cache.setdefault("dense", []).append((h, pre, mask))
@@ -429,12 +355,6 @@ def save_checkpoint(model: DualStreamModel, manifest_path: str, class_names=None
                 os.remove(tmp)
 
 
-# the manifest fields load_checkpoint reads, with their JSON types; exact
-# Python types, so a JSON true is not an integer
-_MANIFEST_FIELDS = (("format", str, "string"), ("config", dict, "object"), ("n_classes", int, "integer"),
-                    ("params_file", str, "string"), ("layers", list, "array"))
-
-
 def load_checkpoint(manifest_path: str):
     """Rebuild the model from a manifest; returns (model, class_names).
 
@@ -446,25 +366,24 @@ def load_checkpoint(manifest_path: str):
         raise IngestionError(f"{where}: not found")
     with open(manifest_path, encoding="utf-8") as fh:
         try:
-            manifest = json.load(fh)
+            manifest = schema.read(json.load(fh), dict, where, IngestionError)
         except json.JSONDecodeError as exc:
             raise IngestionError(f"{where}: malformed JSON: {exc}") from exc
-    if type(manifest) is not dict:
-        raise IngestionError(f"{where}: expected a JSON object, found {type(manifest).__name__}")
-    for key, kind, json_name in _MANIFEST_FIELDS:
-        if type(manifest.get(key)) is not kind:
-            found = type(manifest[key]).__name__ if key in manifest else "nothing"
-            raise IngestionError(f"{where}: field {key!r} must be a JSON {json_name}, found {found}")
+    for key, kind in (("format", str), ("config", dict), ("n_classes", int),
+                      ("params_file", str), ("layers", list)):
+        schema.read(manifest.get(key, MISSING), kind, f"{where}: {key}", IngestionError)
     if manifest["format"] != CHECKPOINT_FORMAT:
         raise IngestionError(f"{where}: unknown checkpoint format {manifest['format']!r}")
-    model = DualStreamModel.build(ModelConfig.from_json_dict(manifest["config"]), manifest["n_classes"])
+    config = manifest["config"]
+    if type(config.get("train")) is dict:  # the f32 mode is gone; its knob is dropped
+        config["train"].pop("precision", None)
+    model = DualStreamModel.build(ModelConfig.from_json_dict(config), manifest["n_classes"])
 
     expected = _layer_table(model)
     if len(manifest["layers"]) != len(expected):
         raise IngestionError(f"{where}: {len(manifest['layers'])} layers, the config has {len(expected)}")
     for i, (entry, want) in enumerate(zip(manifest["layers"], expected)):
-        if type(entry) is not dict:
-            raise IngestionError(f"{where}: layers[{i}] must be a JSON object, found {entry!r}")
+        schema.read(entry, dict, f"{where}: layers[{i}]", IngestionError)
         for key, value in want.items():
             if entry.get(key) != value:
                 found = repr(entry[key]) if key in entry else "nothing"

@@ -10,92 +10,38 @@ what central finite differences check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import layers
+from . import layers, schema
 from .errors import ConfigError, DataError, DimensionError, NumericError
+from .schema import above, at_least
 
 LOG_CLAMP = 1e-12
 
 
 @dataclass
 class TrainConfig:
-    epochs: int = 100
-    batch_size: int = 16
-    patience: int = 10
-    lr: float = 1e-3
-    seed: int = 0
-    precision: str = "f64"
+    """The Adam schedule and early stopping: one field table (see schema)."""
+
+    epochs: int = field(default=100, metadata=at_least(1))
+    batch_size: int = field(default=16, metadata=at_least(1))
+    patience: int = field(default=10, metadata=at_least(1))
+    lr: float = field(default=1e-3, metadata=above(0))
+    seed: int = field(default=0, metadata=at_least(0))
 
     def validate(self):
-        if self.epochs < 1:
-            raise ConfigError(f"train.epochs: must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"train.batch_size: must be >= 1, got {self.batch_size}")
-        if self.patience < 1:
-            raise ConfigError(f"train.patience: must be >= 1, got {self.patience}")
+        """Raise ConfigError naming the offending field."""
+        schema.read(self.to_json_dict(), TrainConfig, "train")
         if self.patience > self.epochs:
-            raise ConfigError(
-                f"train.patience: {self.patience} exceeds epochs {self.epochs}"
-            )
-        if self.lr <= 0:
-            raise ConfigError(f"train.lr: must be positive, got {self.lr}")
-        if self.precision not in ("f64", "f32"):
-            raise ConfigError(f"train.precision: expected 'f64' or 'f32', got {self.precision!r}")
+            raise ConfigError(f"train.patience: {self.patience} exceeds epochs {self.epochs}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "patience": self.patience,
-            "lr": self.lr,
-            "seed": self.seed,
-            "precision": self.precision,
-        }
+    to_json_dict = schema.to_json
 
     @staticmethod
     def from_json_dict(doc: dict) -> "TrainConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("train: expected a JSON object")
-        cfg = TrainConfig()
-        known = {"epochs", "batch_size", "patience", "lr", "seed", "precision"}
-        for key in doc:
-            if key not in known:
-                raise ConfigError(f"train.{key}: unknown config field")
-        return TrainConfig(
-            epochs=json_field(doc, "epochs", int, cfg.epochs, "train."),
-            batch_size=json_field(doc, "batch_size", int, cfg.batch_size, "train."),
-            patience=json_field(doc, "patience", int, cfg.patience, "train."),
-            lr=json_field(doc, "lr", float, cfg.lr, "train."),
-            seed=json_field(doc, "seed", int, cfg.seed, "train."),
-            precision=json_field(doc, "precision", str, cfg.precision, "train."),
-        )
-
-
-_JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list"}
-
-
-def json_field(doc: dict, key: str, kind: type, default, where: str = ""):
-    """doc[key] if its JSON type is exactly kind, default if key is absent.
-    A number field also takes an integer; no field takes true for 1 or 2.7
-    for an integer. The ConfigError names the field as where + key."""
-    if key not in doc:
-        return default
-    value = doc[key]
-    if type(value) is kind or (kind is float and type(value) is int):
-        return float(value) if kind is float else value
-    raise ConfigError(f"{where}{key}: expected {_JSON_KINDS[kind]}, got {value!r}")
-
-
-def json_int_list(doc: dict, key: str, default, where: str = "") -> list:
-    """json_field for a list of integers; the error names the bad element."""
-    values = json_field(doc, key, list, default, where)
-    for i, v in enumerate(values):
-        if type(v) is not int:
-            raise ConfigError(f"{where}{key}[{i}]: expected an integer, got {v!r}")
-    return list(values)
+        return schema.read(doc, TrainConfig, "train")
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ def small_config_doc(epochs=3, seed=0):
             "patience": epochs,
             "lr": 0.001,
             "seed": seed,
-            "precision": "f64",
         },
     }
 
@@ -294,14 +293,14 @@ def break_layer_offset(ckpt, dataset, doc):
 
 def break_manifest_not_object(ckpt, dataset, doc):
     open(ckpt, "w").write("[]")
-    return "map", "expected a JSON object"
+    return "map", "checkpoint.json: expected an object, got []"
 
 
 def break_manifest_no_config(ckpt, dataset, doc):
     manifest = json.load(open(ckpt))
     del manifest["config"]
     json.dump(manifest, open(ckpt, "w"))
-    return "map", "'config'"
+    return "map", "config: expected an object, got nothing"
 
 
 def break_layer_no_shape(ckpt, dataset, doc):
@@ -316,7 +315,7 @@ def break_cube_data_entry(ckpt, dataset, doc):
     header = json.load(open(path))
     header["data"] = [header["data"]]
     json.dump(header, open(path, "w"))
-    return "train", "'data'"
+    return "train", "data: expected a string"
 
 
 def break_labels_data_entry(ckpt, dataset, doc):
@@ -324,7 +323,7 @@ def break_labels_data_entry(ckpt, dataset, doc):
     header = json.load(open(path))
     header["data"] = {"file": header["data"]}
     json.dump(header, open(path, "w"))
-    return "map", "'data'"
+    return "map", "data: expected a string"
 
 
 def break_config_pca_text(ckpt, dataset, doc):
@@ -362,6 +361,58 @@ def break_config_epochs_bool(ckpt, dataset, doc):
     return "train", "train.epochs"
 
 
+def set_header_field(dataset, name, key, value):
+    path = os.path.join(dataset, name)
+    header = json.load(open(path))
+    header[key] = value
+    json.dump(header, open(path, "w"))
+
+
+def break_cube_height_negative(ckpt, dataset, doc):
+    set_header_field(dataset, "cube.json", "height", -32)
+    return "train", "cube.json: height: must be >= 1"
+
+
+def break_cube_width_fraction(ckpt, dataset, doc):
+    set_header_field(dataset, "cube.json", "width", 32.7)
+    return "train", "cube.json: width: expected an integer"
+
+
+def break_cube_bands_text(ckpt, dataset, doc):
+    set_header_field(dataset, "cube.json", "bands", "32")
+    return "map", "cube.json: bands: expected an integer"
+
+
+def break_labels_classes_scalar(ckpt, dataset, doc):
+    set_header_field(dataset, "labels.json", "classes", 5)
+    return "train", "labels.json: classes: expected a list"
+
+
+def break_labels_classes_text(ckpt, dataset, doc):
+    set_header_field(dataset, "labels.json", "classes", "abc")
+    return "map", "labels.json: classes: expected a list"
+
+
+def break_config_seed_negative(ckpt, dataset, doc):
+    doc["train"]["seed"] = -1
+    return "train", "train.seed: must be >= 0"
+
+
+def break_config_lr_infinite(ckpt, dataset, doc):
+    doc["train"]["lr"] = float("inf")  # written as Infinity; a JSON 1e400 reads the same
+    return "train", "train.lr: expected a finite number"
+
+
+def break_config_dropout_nan(ckpt, dataset, doc):
+    doc["dropout_rate"] = float("nan")
+    return "train", "dropout_rate: expected a finite number"
+
+
+def break_config_conv_unknown_key(ckpt, dataset, doc):
+    doc["real_convs"][0]["stride"] = 2
+    return "train", "real_convs[0].stride: unknown config field"
+
+
 def break_manifest_config_type(ckpt, dataset, doc):
     manifest = json.load(open(ckpt))
     manifest["config"]["dense_widths"] = 5
@@ -375,7 +426,10 @@ def break_manifest_config_type(ckpt, dataset, doc):
      break_layer_offset, break_cube_data_entry, break_labels_data_entry,
      break_config_pca_text, break_config_pca_fraction, break_config_dense_scalar, break_config_se_text,
      break_config_kernel_fraction, break_config_lr_text, break_config_epochs_bool,
-     break_manifest_config_type],
+     break_manifest_config_type, break_cube_height_negative, break_cube_width_fraction,
+     break_cube_bands_text, break_labels_classes_scalar, break_labels_classes_text,
+     break_config_seed_negative, break_config_lr_infinite, break_config_dropout_nan,
+     break_config_conv_unknown_key],
 )
 def test_malformed_input_exits_2_and_names_field(tmp_path, dataset, capsys, corrupt):
     ckpt = untrained_checkpoint(tmp_path)
@@ -389,6 +443,32 @@ def test_malformed_input_exits_2_and_names_field(tmp_path, dataset, capsys, corr
         args = ["train", *inputs, "--config", config, "--out", str(tmp_path / "run")]
     assert main(args) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "trial"])
+def test_negative_seed_override_exits_2_and_names_field(tmp_path, dataset, capsys, command):
+    args = [command, "--cube", os.path.join(dataset, "cube.json"),
+            "--labels", os.path.join(dataset, "labels.json"),
+            "--config", write_config(tmp_path, small_config_doc(epochs=1)),
+            "--seed", "-1", "--out", str(tmp_path / "run")]
+    assert main(args) == 2
+    assert "train.seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run" / "checkpoint.json")
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_checkpoint_with_legacy_precision_maps_identically(tmp_path, dataset, precision):
+    # manifests written while train.precision existed carry it in their
+    # config; they load, and map paints the same bytes
+    ckpt = untrained_checkpoint(tmp_path)
+    inputs = ["--cube", os.path.join(dataset, "cube.json"), "--labels", os.path.join(dataset, "labels.json")]
+    plain, legacy = str(tmp_path / "plain.ppm"), str(tmp_path / "legacy.ppm")
+    assert main(["map", *inputs, "--checkpoint", ckpt, "--out", plain]) == 0
+    manifest = json.load(open(ckpt))
+    manifest["config"]["train"]["precision"] = precision
+    json.dump(manifest, open(ckpt, "w"))
+    assert main(["map", *inputs, "--checkpoint", ckpt, "--out", legacy]) == 0
+    assert read(legacy) == read(plain)
 
 
 def test_label_map_must_match_cube(tmp_path, dataset, capsys):
@@ -410,24 +490,3 @@ def test_label_map_must_match_cube(tmp_path, dataset, capsys):
         err = capsys.readouterr().err
         assert "labels" in err and "24x20" in err and "16x16" in err
     assert not os.path.exists(tmp_path / "run") and not os.path.exists(tmp_path / "m.ppm")
-
-
-def test_f32_prediction_keeps_both_streams_in_f32(monkeypatch):
-    from hsiduo import cli, layers
-    from hsiduo.model import DualStreamModel, ModelConfig
-
-    seen = []
-    conv = layers.conv3d_complex_batch
-
-    def recording_conv(xr, xi, p):
-        seen.append((xr.dtype, xi.dtype, p.kernels_re.dtype))
-        return conv(xr, xi, p)
-
-    monkeypatch.setattr(layers, "conv3d_complex_batch", recording_conv)
-    net = DualStreamModel.build(ModelConfig.from_json_dict(small_config_doc()), 3,
-                                rng=np.random.default_rng(0)).cast(np.float32)
-    std = np.random.default_rng(1).normal(size=(12, 12, 8)).astype(np.float32)
-    pred = cli.predict_samples(net, std, np.array([0, 5, 11]), np.array([3, 11, 0]), 8)
-    assert pred.shape == (3,)
-    assert len(seen) == 3  # one call per complex layer
-    assert all(dtypes == (np.float32,) * 3 for dtypes in seen), seen

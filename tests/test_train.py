@@ -142,8 +142,8 @@ def test_train_config_validation():
         TrainConfig(epochs=5, patience=6).validate()
     with pytest.raises(ConfigError, match="lr"):
         TrainConfig(lr=0.0).validate()
-    with pytest.raises(ConfigError, match="precision"):
-        TrainConfig(precision="f16").validate()
+    with pytest.raises(ConfigError, match="train.seed"):
+        TrainConfig(seed=-1).validate()
     with pytest.raises(ConfigError, match="unknown"):
         TrainConfig.from_json_dict({"momentum": 0.9})
 
@@ -213,42 +213,3 @@ def test_fit_rejects_empty_sets():
         fit(model, empty, data, TrainConfig())
     with pytest.raises(DataError):
         fit(model, data, empty, TrainConfig())
-
-
-def test_f32_precision_mode_runs():
-    rng = np.random.default_rng(6)
-    train = toy_patchset(rng, 6)
-    val = toy_patchset(rng, 4)
-    train = PatchSet(
-        train.xr.astype(np.float32),
-        train.xc_re.astype(np.float32),
-        train.xc_im.astype(np.float32),
-        train.labels,
-    )
-    model = DualStreamModel.build(small_config(), 2, rng).cast(np.float32)
-    cfg = TrainConfig(epochs=3, patience=3, lr=1e-3, seed=0, precision="f32")
-    model, history = fit(model, train, val, cfg)
-    assert len(history) == 3
-    assert all(arr.dtype == np.float32 for _, arr in model.param_entries())
-
-
-def test_f32_gradients_agree_with_f64():
-    from hsiduo.train import backward
-
-    rng = np.random.default_rng(7)
-    data64 = toy_patchset(rng, 4)
-    data32 = PatchSet(
-        data64.xr.astype(np.float32),
-        data64.xc_re.astype(np.float32),
-        data64.xc_im.astype(np.float32),
-        data64.labels,
-    )
-    m64 = DualStreamModel.build(small_config(), 2, np.random.default_rng(9))
-    m32 = DualStreamModel.build(small_config(), 2, np.random.default_rng(9)).cast(np.float32)
-    onehot = data64.onehot(2)
-    l64, g64 = backward(m64, (data64.xr, data64.xc_re, data64.xc_im), onehot)
-    l32, g32 = backward(m32, (data32.xr, data32.xc_re, data32.xc_im), onehot)
-    assert abs(l64 - l32) / max(abs(l64), 1e-9) < 1e-5
-    for (name, a64), (_, a32) in zip(m64.param_entries(g64), m32.param_entries(g32)):
-        scale = np.abs(a64).max() + 1e-9
-        assert np.abs(a64 - a32).max() / scale < 1e-4, name
