@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -150,27 +151,36 @@ def _check_scene(cube, label_map):
         )
 
 
+def _check_inputs(cube, label_map, config, seed: int):
+    """Every check a training run makes before any work; returns the train
+    config with the seed applied."""
+    from dataclasses import replace
+
+    from .errors import DataError
+
+    config.validate()
+    train_cfg = replace(config.train, seed=seed)
+    train_cfg.validate()  # a --seed override meets the config's bound
+    _check_scene(cube, label_map)
+    if label_map.n_classes < 2:
+        raise DataError(f"need at least 2 labeled classes, found {label_map.n_classes}")
+    return train_cfg
+
+
 def run_training(cube, label_map, config, seed: int):
     """PCA -> standardize -> split -> patch/FFT -> fit -> test evaluation.
 
     Returns (model, history, report_dict, class_names).
     """
     import numpy as np
-    from dataclasses import replace
 
     from . import metrics
     from .data import fit_pca, standardize, stratified_split
-    from .errors import DataError
     from .model import DualStreamModel
     from .train import fit
 
-    config.validate()
-    train_cfg = replace(config.train, seed=seed)
-    train_cfg.validate()  # a --seed override meets the config's bound
-    _check_scene(cube, label_map)
+    train_cfg = _check_inputs(cube, label_map, config, seed)
     n_classes = label_map.n_classes
-    if n_classes < 2:
-        raise DataError(f"need at least 2 labeled classes, found {n_classes}")
     class_names = list(label_map.class_names) or [f"class_{c}" for c in range(1, n_classes + 1)]
 
     _, reduced = fit_pca(cube, config.pca_components)
@@ -261,6 +271,13 @@ def cmd_synth(args) -> int:
     if args.classes < 2:
         print("error: need >= 2 classes", file=sys.stderr)
         return 2
+    for flag, value in (("--height", args.height), ("--width", args.width), ("--bands", args.bands)):
+        if value < 1:
+            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        print(f"error: --noise must be a finite number >= 0, got {args.noise}", file=sys.stderr)
+        return 2
     cube, label_map = synth_dataset(
         args.classes, args.height, args.width, args.bands, args.noise, args.seed
     )
@@ -329,6 +346,7 @@ def cmd_trial(args) -> int:
     master_seed = args.seed if args.seed is not None else config.train.seed
     cube = load_cube(args.cube)
     label_map = load_labels(args.labels)
+    _check_inputs(cube, label_map, config, master_seed)  # a rejected input leaves no --out behind
     os.makedirs(args.out, exist_ok=True)
 
     trial_metrics = []

@@ -368,10 +368,12 @@ def standardize(reduced: Tensor) -> Tensor:
     if len(reduced.shape) != 3:
         raise DimensionError(f"standardize expects [H,W,P], got {reduced.shape}")
     arr = reduced.as_array()
-    mean = arr.mean(axis=(0, 1))
-    std = arr.std(axis=(0, 1))
-    scale = np.where(std > _DEGENERATE_STD_RATIO * std.max(initial=0.0), std, 1.0)
-    return Tensor.from_array((arr - mean) / scale)
+    out = arr - arr.mean(axis=(0, 1))
+    # np.std's own arithmetic on the centred values it would compute again
+    std = np.sqrt(np.square(out).sum(axis=(0, 1)) / (arr.shape[0] * arr.shape[1]))
+    out /= np.where(std > _DEGENERATE_STD_RATIO * std.max(initial=0.0), std, 1.0)
+    out.flags.writeable = False  # Tensor keeps a read-only array without a copy
+    return Tensor.from_array(out)
 
 
 # ---------------------------------------------------------------------------

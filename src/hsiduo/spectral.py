@@ -1,9 +1,11 @@
-"""Radix-2 FFT machinery and the band-wise transform feeding the complex stream.
+"""The discrete Fourier transform as GEMMs with dense DFT matrices, and
+the band-wise transform feeding the complex stream.
 
-The transform is an iterative Cooley-Tukey decimation-in-time FFT with a
-precomputed bit-reversal permutation. The forward transform is
-unnormalized (X[k] = sum_t x[t] exp(-2*pi*i*k*t/n)); the inverse conjugates
-the twiddles and scales by 1/n, so inverse(forward(x)) == x.
+F[k, t] = w[(k*t) mod n] and kron(F, F)[(k, l), (u, v)] = w[(k*u + l*v) mod n]
+read every entry from one table w[j] = exp(-2*pi*i*j/n), so none carries
+the rounding of a product of twiddles. The forward transform is
+unnormalized (X[k] = sum_t x[t] exp(-2*pi*i*k*t/n)); the inverse
+conjugates the matrix and scales by 1/n, so inverse(forward(x)) == x.
 
 Patch sizes are constrained to powers of two, which keeps the transform
 exact without zero padding and preserves spatial alignment between the
@@ -13,6 +15,7 @@ real and complex streams.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -24,31 +27,29 @@ def _is_pow2(n: int) -> bool:
 
 
 class FftPlan:
-    """Precomputed roots of unity and bit-reversal order for length n."""
+    """Roots of unity and the DFT matrices for length n."""
 
     def __init__(self, n: int):
         if not _is_pow2(n):
             raise DimensionError(f"FFT length must be a power of two, got {n}")
         self.n = n
-        k = np.arange(n, dtype=np.float64)
+        k = np.arange(n)
         ang = -2.0 * math.pi * k / n
         # twiddle[k] = exp(-2*pi*i*k/n), split storage
         self.tw_re = np.cos(ang)
         self.tw_im = np.sin(ang)
-        self.bitrev = self._bit_reversal(n)
+        self._kt = np.outer(k, k) % n
+        self.f_re = self.tw_re[self._kt]
+        self.f_im = self.tw_im[self._kt]
 
-    @staticmethod
-    def _bit_reversal(n: int) -> np.ndarray:
-        bits = n.bit_length() - 1
-        rev = np.zeros(n, dtype=np.intp)
-        for i in range(n):
-            r = 0
-            x = i
-            for _ in range(bits):
-                r = (r << 1) | (x & 1)
-                x >>= 1
-            rev[i] = r
-        return rev
+    @cached_property
+    def dft2(self):
+        """(re, im) of kron(F, F), [n^2, n^2] and symmetric: the 2D
+        transform of a row-major flattened n x n array. Built on first
+        use: it takes 16 n^4 bytes (1 MiB at n = 16)."""
+        n, kt = self.n, self._kt
+        idx = ((kt[:, None, :, None] + kt[None, :, None, :]) % n).reshape(n * n, n * n)
+        return self.tw_re[idx], self.tw_im[idx]
 
 
 _PLANS: dict = {}
@@ -62,48 +63,50 @@ def get_plan(n: int) -> FftPlan:
     return plan
 
 
+def _complex_matmul(re, im, f_re, f_im):
+    """(re + i im) @ (f_re + i f_im) in split storage; im None is a real
+    input and costs two GEMMs instead of four."""
+    out_re = re @ f_re
+    out_im = re @ f_im
+    if im is not None:
+        out_re -= im @ f_im
+        out_im += im @ f_re
+    return out_re, out_im
+
+
 def fft_last_axis(re: np.ndarray, im: np.ndarray, inverse: bool = False):
     """Transform along the last axis of same-shaped re/im arrays; the
     length must be a power of two.
 
     Vectorized over all leading axes. Returns new float64 arrays.
     """
-    n = re.shape[-1]
-    plan = get_plan(n)
-    re = np.ascontiguousarray(re[..., plan.bitrev], dtype=np.float64)
-    im = np.ascontiguousarray(im[..., plan.bitrev], dtype=np.float64)
-    m = 1
-    while m < n:
-        # combine adjacent blocks of size m into blocks of size 2m;
-        # stage twiddles are a stride-n/(2m) slice of the length-n table
-        stride = n // (2 * m)
-        wr = plan.tw_re[: m * stride : stride]
-        wi = plan.tw_im[: m * stride : stride]
-        if inverse:
-            wi = -wi
-        lead = re.shape[:-1]
-        re_v = re.reshape(lead + (n // (2 * m), 2, m))
-        im_v = im.reshape(lead + (n // (2 * m), 2, m))
-        er, ei = re_v[..., 0, :], im_v[..., 0, :]
-        orr, oi = re_v[..., 1, :], im_v[..., 1, :]
-        tr = orr * wr - oi * wi
-        ti = orr * wi + oi * wr
-        re = np.concatenate([er + tr, er - tr], axis=-1).reshape(re.shape)
-        im = np.concatenate([ei + ti, ei - ti], axis=-1).reshape(im.shape)
-        m *= 2
+    plan = get_plan(re.shape[-1])
+    re = np.asarray(re, dtype=np.float64)
+    im = np.asarray(im, dtype=np.float64)
+    # F is symmetric, so x @ F transforms each row
+    re, im = _complex_matmul(re, im, plan.f_re, -plan.f_im if inverse else plan.f_im)
     if inverse:
-        re = re / n
-        im = im / n
+        re /= plan.n
+        im /= plan.n
     return re, im
 
 
-def fft2_arrays(re: np.ndarray, im: np.ndarray):
-    """Forward 2D transform over the last two axes: rows then columns."""
-    re, im = fft_last_axis(re, im)
-    re = np.swapaxes(re, -1, -2)
-    im = np.swapaxes(im, -1, -2)
-    re, im = fft_last_axis(re, im)
-    return np.swapaxes(re, -1, -2), np.swapaxes(im, -1, -2)
+def fft2_arrays(re: np.ndarray, im: np.ndarray | None = None):
+    """Forward 2D transform over the last two axes, which must be square
+    with a power-of-two side; im None is a real input.
+
+    Vectorized over all leading axes. Returns new float64 arrays.
+    """
+    s = re.shape[-1]
+    if re.shape[-2] != s:
+        raise DimensionError(f"2D transform needs square trailing axes, got {re.shape}")
+    f_re, f_im = get_plan(s).dft2
+
+    def rows(x):
+        return None if x is None else np.asarray(x, dtype=np.float64).reshape(-1, s * s)
+
+    out_re, out_im = _complex_matmul(rows(re), rows(im), f_re, f_im)
+    return out_re.reshape(re.shape), out_im.reshape(re.shape)
 
 
 def bandwise_fft_arrays(patches: np.ndarray):
@@ -116,11 +119,11 @@ def bandwise_fft_arrays(patches: np.ndarray):
     if patches.ndim < 3 or patches.shape[-3] != patches.shape[-2] or not _is_pow2(patches.shape[-3]):
         raise DimensionError(f"bandwise FFT needs square power-of-two [S,S,C] patches, got {patches.shape}")
     s = patches.shape[-3]
-    # move bands in front of the two spatial axes so the 2D transform
-    # vectorizes across bands (and any batch axes)
+    # move bands in front of the two spatial axes, so the stack is one
+    # [N*C, S*S] matrix and the transform is one product with kron(F, F)
     x = np.moveaxis(np.asarray(patches, dtype=np.float64), -1, -3)
-    re, im = fft2_arrays(x, np.zeros_like(x))
+    re, im = fft2_arrays(x)
+    # one pass scales (exactly: 1/S^2 is a power of two) and moves the
+    # bands back last, in C order as the convolutions read them
     scale = 1.0 / (s * s)
-    re = np.moveaxis(re, -3, -1) * scale
-    im = np.moveaxis(im, -3, -1) * scale
-    return re, im
+    return tuple(np.multiply(np.moveaxis(a, -3, -1), scale, order="C") for a in (re, im))

@@ -57,12 +57,14 @@ def cross_entropy_batch(probs: np.ndarray, onehot: np.ndarray) -> float:
 # backward through the whole graph
 
 
-def backward(model, batch, targets, training=False, dropout_seed=None):
+def backward(model, batch, targets, training=False, dropout_seed=None, grad=None):
     """Mean batch loss and the gradient of every parameter.
 
     batch is the (xr, xc_re, xc_im) triple of patch stacks; targets are
     one-hot rows. The gradient is one flat buffer laid out like
-    model.flat; model.param_entries(grad) names its views.
+    model.flat; model.param_entries(grad) names its views. Every view is
+    written in full, so a held buffer passed as grad is reused as it is,
+    without zeroing; without one a fresh buffer is returned.
     """
     xr, xc_re, xc_im = batch
     onehot = np.asarray(targets, dtype=np.float64)
@@ -75,7 +77,10 @@ def backward(model, batch, targets, training=False, dropout_seed=None):
 
     n = probs.shape[0]
     w = model.layer_views()
-    grad = np.zeros_like(model.flat)
+    if grad is None:
+        grad = np.empty_like(model.flat)
+    elif grad.shape != model.flat.shape:
+        raise DimensionError(f"gradient: shape {grad.shape} != parameters {model.flat.shape}")
     g = model.layer_views(grad)
 
     def put(views, *values):
@@ -133,9 +138,14 @@ def backward(model, batch, targets, training=False, dropout_seed=None):
 # Adam
 
 
+# elements per block of the Adam update: its five operands (256 KiB each)
+# stay in cache across the update's passes
+_ADAM_BLOCK = 1 << 15
+
+
 class AdamState:
-    """First/second moment buffers laid out like the parameter buffer, plus
-    the step counter."""
+    """First/second moment buffers laid out like the parameter buffer, the
+    step counter, and one block of scratch for the update."""
 
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -145,6 +155,7 @@ class AdamState:
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        self.scratch = np.empty(min(params.size, _ADAM_BLOCK), dtype=params.dtype)
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState):
@@ -155,22 +166,31 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState):
         m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g^2
         params -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
 
-    The step allocates one buffer and consumes grad as a second one, so
-    grad holds no gradient afterwards.
+    The update runs block by block, each block through all of its passes
+    while it is in cache; every value sees the same operations in the same
+    order as in one pass over the whole buffer, so the result is the same
+    bit for bit. The step allocates nothing: it works in state.scratch and
+    consumes grad as a second scratch, so grad holds no gradient
+    afterwards.
     """
     if grad.shape != params.shape:
         raise DimensionError(f"gradient: shape {grad.shape} != parameters {params.shape}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    m, v, tmp = state.m, state.v, np.empty_like(params)
-    m *= b1
-    m += np.multiply(grad, 1.0 - b1, out=tmp)
-    v *= b2
-    v += np.multiply(np.multiply(grad, grad, out=tmp), 1.0 - b2, out=tmp)
-    den = np.sqrt(np.divide(v, 1.0 - b2**state.t, out=grad), out=grad)
-    den += state.eps
-    step = np.multiply(np.divide(m, 1.0 - b1**state.t, out=tmp), state.lr, out=tmp)
-    params -= np.divide(step, den, out=tmp)
+    c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+    p, g, m, v = (a.reshape(-1) for a in (params, grad, state.m, state.v))
+    for lo in range(0, p.size, _ADAM_BLOCK):
+        block = slice(lo, lo + _ADAM_BLOCK)
+        gb, mb, vb = g[block], m[block], v[block]
+        tmp = state.scratch[: gb.size]
+        mb *= b1
+        mb += np.multiply(gb, 1.0 - b1, out=tmp)
+        vb *= b2
+        vb += np.multiply(np.multiply(gb, gb, out=tmp), 1.0 - b2, out=tmp)
+        den = np.sqrt(np.divide(vb, c2, out=gb), out=gb)
+        den += state.eps
+        step = np.multiply(np.divide(mb, c1, out=tmp), state.lr, out=tmp)
+        p[block] -= np.divide(step, den, out=tmp)
     return params, state
 
 
@@ -227,6 +247,7 @@ def fit(model, train_set: PatchSet, val_set: PatchSet, cfg: TrainConfig):
         raise DataError("fit: empty validation set")
 
     state = AdamState(model.flat, lr=cfg.lr)
+    grad = np.empty_like(model.flat)  # held across steps; backward fills it
     onehot_all = train_set.onehot(model.n_classes)
 
     best_loss = None
@@ -243,14 +264,15 @@ def fit(model, train_set: PatchSet, val_set: PatchSet, cfg: TrainConfig):
         for step, lo in enumerate(range(0, len(order), cfg.batch_size)):
             idx = order[lo : lo + cfg.batch_size]
             batch = (train_set.xr[idx], train_set.xc_re[idx], train_set.xc_im[idx])
-            loss, grads = backward(
+            loss, _ = backward(
                 model,
                 batch,
                 onehot_all[idx],
                 training=True,
                 dropout_seed=(cfg.seed, epoch, step),
+                grad=grad,
             )
-            adam_step(model.flat, grads, state)
+            adam_step(model.flat, grad, state)
             epoch_loss += loss * len(idx)
         train_loss = epoch_loss / len(train_set)
 

@@ -82,6 +82,17 @@ def test_synth_rejects_single_class(tmp_path, capsys):
     assert "classes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--bands", "0"), ("--height", "0"), ("--width", "-3"),
+    ("--noise", "-0.1"), ("--noise", "nan"), ("--noise", "inf"),
+])
+def test_synth_rejects_bad_scene_flag(tmp_path, capsys, flag, value):
+    out = tmp_path / "x"
+    assert main(["synth", flag, value, "--out", str(out)]) == 2
+    assert f"error: {flag} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_output_loads_back(dataset):
     from hsiduo.data import load_cube, load_labels
 
@@ -453,7 +464,7 @@ def test_negative_seed_override_exits_2_and_names_field(tmp_path, dataset, capsy
             "--seed", "-1", "--out", str(tmp_path / "run")]
     assert main(args) == 2
     assert "train.seed: must be >= 0, got -1" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "run" / "checkpoint.json")
+    assert not os.path.exists(tmp_path / "run")  # rejected before any output
 
 
 @pytest.mark.parametrize("precision", ["f64", "f32"])

@@ -308,6 +308,21 @@ def test_standardize_keeps_pca_roundoff_bands_at_roundoff_scale():
     assert np.abs(out[:, :, :2].std(axis=(0, 1)) - 1.0).max() < 1e-12
 
 
+@pytest.mark.parametrize("rank_deficient", [True, False])
+def test_standardize_is_bitwise_the_np_std_form(rank_deficient):
+    if rank_deficient:  # PCA bands 2-15 hold roundoff and are only centred
+        _, reduced = fit_pca(synth_dataset(3, 32, 32, 16, 0.0, 0)[0], 16)
+    else:
+        reduced = Tensor.from_array(np.random.default_rng(12).normal(3.0, 2.0, size=(20, 17, 5)))
+    arr = reduced.as_array()
+    std = arr.std(axis=(0, 1))
+    scale = np.where(std > data._DEGENERATE_STD_RATIO * std.max(), std, 1.0)
+    out = standardize(reduced).as_array()
+    assert np.array_equal(out, (arr - arr.mean(axis=(0, 1))) / scale)
+    assert rank_deficient == bool((scale == 1.0).any())
+    assert not out.flags.writeable
+
+
 def test_standardize_scales_small_real_band():
     rng = np.random.default_rng(7)
     vals = rng.normal(size=(6, 6, 2))

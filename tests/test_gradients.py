@@ -1,6 +1,8 @@
 """Reverse-mode gradients checked against central finite differences and
 against the expanded four-real-convolutions form of the complex layer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,32 @@ def test_training_dropout_gradients_match_fd_with_fixed_mask():
             rel = abs(fd - an) / max(1e-6, abs(fd) + abs(an))
             assert rel < FD_TOL
             worst = max(worst, rel)
+
+
+@pytest.mark.parametrize("se_enabled, dense", [(True, (4, 3)), (False, (4,))])
+def test_backward_into_held_nan_buffer_equals_fresh(se_enabled, dense):
+    # every view of the gradient is written in full, so fit's held buffer
+    # needs no zeroing between steps
+    config = replace(tiny_config(dense=dense), se_enabled=se_enabled)
+    rng = np.random.default_rng(9)
+    model = DualStreamModel.build(config, 3, rng)
+    batch, onehot = tiny_batch(rng, n=3)
+    held = np.full_like(model.flat, np.nan)
+    loss_h, g_h = backward(model, batch, onehot, training=True, dropout_seed=(1, 2, 3), grad=held)
+    loss_f, g_f = backward(model, batch, onehot, training=True, dropout_seed=(1, 2, 3))
+    assert g_h is held
+    assert loss_h == loss_f
+    assert np.array_equal(g_h, g_f)
+
+
+def test_backward_rejects_misshapen_held_buffer():
+    from hsiduo.errors import DimensionError
+
+    rng = np.random.default_rng(10)
+    model = DualStreamModel.build(tiny_config(), 3, rng)
+    batch, onehot = tiny_batch(rng)
+    with pytest.raises(DimensionError, match="gradient"):
+        backward(model, batch, onehot, grad=np.zeros(model.flat.size - 1))
 
 
 def test_nonfinite_loss_raises_numeric_error():

@@ -165,6 +165,16 @@ def test_bandwise_matches_per_band_oracle_and_band_independence():
     assert np.array_equal(out.imag[:, :, 1:], out2.imag[:, :, 1:])
 
 
+@pytest.mark.parametrize("s", [16, 32])
+def test_bandwise_matches_naive_dft_at_large_patch_sizes(s):
+    rng = np.random.default_rng(s)
+    patch = rng.normal(size=(s, s, 2))
+    out = bandwise(patch)
+    band = 1 if s == 16 else 0  # the O(S^4) oracle on one band
+    want = naive_dft_2d(patch[:, :, band].astype(complex)) / (s * s)
+    assert np.abs(out[:, :, band] - want).max() < 1e-9
+
+
 def test_bandwise_rejects_bad_shapes():
     with pytest.raises(DimensionError):
         bandwise(np.zeros((3, 3, 2)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hsiduo import train
 from hsiduo.errors import ConfigError, DataError, DimensionError
 from hsiduo.model import ConvLayerSpec, DualStreamModel, ModelConfig
 from hsiduo.spectral import bandwise_fft_arrays
@@ -123,6 +124,53 @@ def test_adam_three_steps_match_scalar_recurrence():
         v_hat = v / (1 - 0.999**t)
         theta -= 1e-3 * m_hat / (math.sqrt(v_hat) + 1e-8)
     assert abs(params[0] - theta) < 1e-12
+
+
+def one_pass_adam(params, grad, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The update as one pass over the whole buffer, each operation in the
+    order adam_step applies it."""
+    tmp = np.empty_like(params)
+    m *= b1
+    m += np.multiply(grad, 1.0 - b1, out=tmp)
+    v *= b2
+    v += np.multiply(np.multiply(grad, grad, out=tmp), 1.0 - b2, out=tmp)
+    den = np.sqrt(np.divide(v, 1.0 - b2**t, out=grad), out=grad)
+    den += eps
+    step = np.multiply(np.divide(m, 1.0 - b1**t, out=tmp), lr, out=tmp)
+    params -= np.divide(step, den, out=tmp)
+
+
+def test_blocked_adam_is_bitwise_the_one_pass_update():
+    rng = np.random.default_rng(11)
+    n = 2 * train._ADAM_BLOCK + 777  # a partial last block
+    params = rng.normal(size=n)
+    ref_params, ref_m, ref_v = params.copy(), np.zeros(n), np.zeros(n)
+    state = AdamState(params, lr=3e-3)
+    for t in range(1, 7):
+        # gradients over many decades, zeros included
+        g = rng.normal(size=n) * 10.0 ** rng.integers(-8, 4, size=n)
+        g[rng.integers(0, n, size=50)] = 0.0
+        adam_step(params, g.copy(), state)
+        one_pass_adam(ref_params, g.copy(), ref_m, ref_v, t, lr=3e-3)
+        assert np.array_equal(params, ref_params), t
+        assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v), t
+
+
+def test_adam_step_on_default_model_allocates_under_1_mib():
+    import tracemalloc
+
+    model = DualStreamModel.build(ModelConfig(), 9, np.random.default_rng(0))
+    state = AdamState(model.flat, lr=1e-3)
+    grad = np.random.default_rng(1).normal(size=model.flat.shape)
+    adam_step(model.flat, grad.copy(), state)  # warm
+    tracemalloc.start()
+    try:
+        adam_step(model.flat, grad, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.flat.nbytes > 2 * 2**20  # the buffer dwarfs the bound
+    assert peak < 2**20, peak
 
 
 def test_adam_shape_mismatch():
