@@ -9,12 +9,31 @@ A convolution is one GEMM (Chellapilla, Puri & Simard, 2006): im2col
 lays every window of the input out as a row of a column matrix, taken
 from sliding_window_view, and the matrix times the kernel reshaped to
 [mh*mw*md*Cin, Cout] is the output. The backward pass gives dK as
-cols^T dout and dX as the col2im scatter-add of dout K^T. A complex
-layer builds the re and im column matrices cr, ci once and does four
-real GEMMs of the real layer's shape, re = cr Kr - ci Ki and
-im = cr Ki + ci Kr, so a zero imaginary part reproduces the real layer
-bit for bit. Column matrices are built a few samples at a time, each at
-most _IM2COL_BYTES, which bounds the working set at inference batches.
+cols^T dout and dX as the col2im scatter-add of dout K^T.
+
+A complex layer is a set of real convolutions (Trabelsi et al., Deep
+Complex Networks, 2018), and each of its three complex products,
+C K (forward), conj(C)^T G (dK) and G conj(K)^T (dcols), takes three
+real GEMMs of the real layer's shape instead of four, by Gauss's
+method, which is numerically stable for matrix products (Higham, 1992).
+The variant puts Ki, or the gradient's imaginary part, alone in the
+shared product a: forward a = (cr - ci) Ki, re = cr (Kr - Ki) + a,
+im = ci (Kr + Ki) + a. With Ki = 0, a is exactly zero and Kr - Ki and
+Kr + Ki are exactly Kr, so a real kernel gives the real layer bit for
+bit for any imaginary input. (The textbook variant, k1 = (cr + ci) Kr, rounds the
+real part differently.) cr - ci and cr + ci are formed entry by entry
+from the two inputs' windows, straight into a column matrix.
+
+Every conv kernel works in one held, grow-only scratch buffer: its
+column matrices (written with np.copyto from the window view), dcols and
+GEMM temporaries (written with matmul(..., out=)) are views of it, so a
+steady-state call allocates only the arrays it returns, and none of
+those is a view of the scratch. The kernels share it, so they are
+single-threaded: one call at a time per process. A batch runs a few
+samples at a time, so that each [rows, window] and [rows, Cout] buffer
+is at most _IM2COL_BYTES (or one sample's); with at most three such
+buffers and one kernel-sized block per call, the scratch stays small at
+any batch.
 
 Every op is an array kernel with a leading batch axis; the model's
 forward pass and the training loop's backward pass call these and nothing
@@ -46,10 +65,40 @@ class ComplexWeights(NamedTuple):
 # ---------------------------------------------------------------------------
 # 3D convolution as im2col + GEMM
 
-# Bound on the bytes of one column matrix. A batch whose columns would
-# exceed it runs a few samples at a time: at batch 256 the complex
-# layer 1's two column matrices would otherwise take about 38 MB.
+# Bound on the bytes of one per-piece buffer. A batch whose column
+# matrices or [rows, Cout] products would exceed it runs a few samples at
+# a time: at batch 256 the complex layer 1's column matrix alone would
+# otherwise take about 19 MB.
 _IM2COL_BYTES = 1 << 20
+
+# The held scratch: one grow-only byte buffer that every conv kernel
+# carves its column matrices, dcols and GEMM temporaries from. Its views
+# live within one kernel call and are never returned, so the kernels are
+# not reentrant: one thread at a time.
+_scratch = np.empty(0, dtype=np.uint8)
+_ALIGN = 64  # bytes; every block starts on a cache line
+
+
+def _scratch_blocks(dtype, *sizes):
+    """One flat view of the held scratch per size (in elements), laid end
+    to end; the scratch grows to fit and never shrinks."""
+    global _scratch
+    itemsize = np.dtype(dtype).itemsize
+    spans = [-(-n * itemsize // _ALIGN) * _ALIGN for n in sizes]
+    if _scratch.nbytes < sum(spans):
+        raw = np.empty(sum(spans) + _ALIGN, dtype=np.uint8)
+        at = -raw.ctypes.data % _ALIGN
+        _scratch = raw[at : at + sum(spans)]
+    blocks, at = [], 0
+    for n, span in zip(sizes, spans):
+        blocks.append(_scratch[at : at + n * itemsize].view(dtype))
+        at += span
+    return blocks
+
+
+def _view(block, shape):
+    """The leading prod(shape) elements of a flat scratch block as shape."""
+    return block[: prod(shape)].reshape(shape)
 
 
 def _check_conv_geometry(xshape, kshape):
@@ -63,17 +112,29 @@ def _check_conv_geometry(xshape, kshape):
 
 
 def _pieces(x, kshape, out_shape):
-    """Sample slices of x [N,...] whose column matrices fit _IM2COL_BYTES."""
-    per_sample = prod(out_shape) * prod(kshape[:4]) * x.itemsize
-    step = max(1, _IM2COL_BYTES // per_sample)
-    return [slice(s, s + step) for s in range(0, x.shape[0], step)]
+    """Rows of the largest piece and the sample slices of x [N,...]: a
+    piece's [rows, window] and [rows, Cout] buffers each fit _IM2COL_BYTES."""
+    cells = prod(out_shape)
+    step = min(x.shape[0], max(1, _IM2COL_BYTES // (cells * max(prod(kshape[:4]), kshape[4]) * x.itemsize)))
+    return step * cells, [slice(s, s + step) for s in range(0, x.shape[0], step)]
 
 
-def _cols(x, kshape):
-    """im2col of x [n,H,W,D,Cin]: one row per output position (n,h,w,d),
-    one column per window entry (i,j,k,c) in the kernel's order."""
-    win = sliding_window_view(x, kshape[:3], axis=(1, 2, 3))  # [n,H',W',D',Cin,mh,mw,md]
-    return win.transpose(0, 1, 2, 3, 5, 6, 7, 4).reshape(-1, prod(kshape[:4]))
+def _cols(x, kshape, block, op=None, y=None):
+    """im2col of x [n,H,W,D,Cin] into a scratch block: one row per output
+    position (n,h,w,d), one column per window entry (i,j,k,c) in the
+    kernel's order. With op and y it holds op(x, y) instead, formed entry
+    by entry from both windows. Returns the [rows, mh*mw*md*Cin] view."""
+
+    def windows(a):  # [n,H',W',D',Cin,mh,mw,md] -> [n,H',W',D',mh,mw,md,Cin]
+        return sliding_window_view(a, kshape[:3], axis=(1, 2, 3)).transpose(0, 1, 2, 3, 5, 6, 7, 4)
+
+    win = windows(x)
+    cols = _view(block, win.shape)
+    if op is None:
+        np.copyto(cols, win)
+    else:
+        op(win, windows(y), out=cols)
+    return cols.reshape(-1, prod(kshape[:4]))
 
 
 def _col2im_add(dx, dcols, kshape):
@@ -94,10 +155,13 @@ def _col2im_add(dx, dcols, kshape):
 def conv3d_real_batch(x: np.ndarray, kernels: np.ndarray, bias) -> np.ndarray:
     """Valid cross-correlation over [N,H,W,D,Cin] -> [N,H',W',D',Cout]."""
     out_shape = _check_conv_geometry(x.shape, kernels.shape)
-    k2 = kernels.reshape(-1, kernels.shape[4])
-    out = np.empty((x.shape[0], *out_shape, k2.shape[1]), dtype=x.dtype)
-    for s in _pieces(x, kernels.shape, out_shape):
-        np.matmul(_cols(x[s], kernels.shape), k2, out=out[s].reshape(-1, k2.shape[1]))
+    window, cout = prod(kernels.shape[:4]), kernels.shape[4]
+    k2 = kernels.reshape(window, cout)
+    out = np.empty((x.shape[0], *out_shape, cout), dtype=x.dtype)
+    rows, pieces = _pieces(x, kernels.shape, out_shape)
+    (c,) = _scratch_blocks(x.dtype, rows * window)
+    for s in pieces:
+        np.matmul(_cols(x[s], kernels.shape, c), k2, out=out[s].reshape(-1, cout))
     if bias is not None:
         out += bias
     return out
@@ -105,63 +169,86 @@ def conv3d_real_batch(x: np.ndarray, kernels: np.ndarray, bias) -> np.ndarray:
 
 def conv3d_real_batch_backward(x: np.ndarray, kernels: np.ndarray, dout: np.ndarray):
     """Gradients of the valid cross-correlation w.r.t. input, kernels, bias."""
-    k2 = kernels.reshape(-1, kernels.shape[4])
+    kshape = kernels.shape
+    window, cout = prod(kshape[:4]), kshape[4]
+    k2 = kernels.reshape(window, cout)
     dx = np.zeros_like(x)
     dk = np.zeros_like(k2)
-    for s in _pieces(x, kernels.shape, dout.shape[1:4]):
-        g = dout[s].reshape(-1, k2.shape[1])
-        dk += _cols(x[s], kernels.shape).T @ g
-        _col2im_add(dx[s], g @ k2.T, kernels.shape)
+    rows, pieces = _pieces(x, kshape, dout.shape[1:4])
+    c, t = _scratch_blocks(x.dtype, rows * window, k2.size)  # columns, then dcols
+    t = t.reshape(k2.shape)
+    for s in pieces:
+        g = dout[s].reshape(-1, cout)
+        dk += np.matmul(_cols(x[s], kshape, c).T, g, out=t)
+        _col2im_add(dx[s], np.matmul(g, k2.T, out=_view(c, (len(g), window))), kshape)
     db = dout.sum(axis=(0, 1, 2, 3))
-    return dx, dk.reshape(kernels.shape), db
+    return dx, dk.reshape(kshape), db
 
 
 def conv3d_complex_batch(xr, xi, p: ComplexWeights):
-    """Complex valid cross-correlation over split parts: with column
-    matrices cr, ci of xr, xi, re = cr Kr - ci Ki and im = cr Ki + ci Kr."""
+    """Complex valid cross-correlation over split parts, in three real
+    GEMMs: with column matrices cr, ci of xr, xi, a = (cr - ci) Ki,
+    re = cr (Kr - Ki) + a and im = ci (Kr + Ki) + a."""
     kshape = p.kernels_re.shape
     out_shape = _check_conv_geometry(xr.shape, kshape)
-    kr = p.kernels_re.reshape(-1, kshape[4])
-    ki = p.kernels_im.reshape(-1, kshape[4])
-    out_re = np.empty((xr.shape[0], *out_shape, kshape[4]), dtype=xr.dtype)
+    window, cout = prod(kshape[:4]), kshape[4]
+    kr = p.kernels_re.reshape(window, cout)
+    ki = p.kernels_im.reshape(window, cout)
+    rows, pieces = _pieces(xr, kshape, out_shape)
+    c, t, k = _scratch_blocks(xr.dtype, rows * window, rows * cout, kr.size)
+    out_re = np.empty((xr.shape[0], *out_shape, cout), dtype=xr.dtype)
     out_im = np.empty_like(out_re)
-    for s in _pieces(xr, kshape, out_shape):
-        cr, ci = _cols(xr[s], kshape), _cols(xi[s], kshape)
-        re = np.matmul(cr, kr, out=out_re[s].reshape(-1, kshape[4]))
-        re -= ci @ ki
-        im = np.matmul(cr, ki, out=out_im[s].reshape(-1, kshape[4]))
-        im += ci @ kr
-        del cr, ci  # so the next piece's columns do not overlap these
+    # two passes, so that one kernel-sized block holds Kr - Ki, then Kr + Ki;
+    # out_im holds a between them
+    k = np.subtract(kr, ki, out=k.reshape(kr.shape))
+    for s in pieces:
+        re, a = out_re[s].reshape(-1, cout), out_im[s].reshape(-1, cout)
+        np.matmul(_cols(xr[s], kshape, c, np.subtract, xi[s]), ki, out=a)
+        np.matmul(_cols(xr[s], kshape, c), k, out=re)
+        re += a
+    k = np.add(kr, ki, out=k)
+    for s in pieces:
+        im = out_im[s].reshape(-1, cout)
+        im += np.matmul(_cols(xi[s], kshape, c), k, out=_view(t, im.shape))
     out_re += p.bias_re
     out_im += p.bias_im
     return out_re, out_im
 
 
 def conv3d_complex_batch_backward(xr, xi, p: ComplexWeights, dre, dim):
-    """Real-composite gradients: re and im parts treated as independent reals."""
+    """Real-composite gradients: re and im parts treated as independent
+    reals, each product conj(C)^T G and G conj(K)^T in three real GEMMs:
+    a = (cr + ci)^T gi, dKr = cr^T (gr - gi) + a, dKi = a - ci^T (gr + gi);
+    a = (gi - gr) Ki^T, dxr = col2im(gr (Kr + Ki)^T + a),
+    dxi = col2im(gi (Kr - Ki)^T + a)."""
     kshape = p.kernels_re.shape
-    kr = p.kernels_re.reshape(-1, kshape[4])
-    ki = p.kernels_im.reshape(-1, kshape[4])
+    window, cout = prod(kshape[:4]), kshape[4]
+    kr = p.kernels_re.reshape(window, cout)
+    ki = p.kernels_im.reshape(window, cout)
     dxr = np.zeros_like(xr)
     dxi = np.zeros_like(xi)
     dkr = np.zeros_like(kr)
     dki = np.zeros_like(ki)
-    for s in _pieces(xr, kshape, dre.shape[1:4]):
-        cr, ci = _cols(xr[s], kshape), _cols(xi[s], kshape)
-        gr, gi = dre[s].reshape(-1, kshape[4]), dim[s].reshape(-1, kshape[4])
-        # one product at a time: each is as large as a kernel or a piece
-        dkr += cr.T @ gr
-        dkr += ci.T @ gi
-        dki += cr.T @ gi
-        dki -= ci.T @ gr
-        del cr, ci
-        dc = gr @ kr.T
-        dc += gi @ ki.T
-        _col2im_add(dxr[s], dc, kshape)
-        dc = gi @ kr.T
-        dc -= gr @ ki.T
-        _col2im_add(dxi[s], dc, kshape)
-        del dc
+    rows, pieces = _pieces(xr, kshape, dre.shape[1:4])
+    # the column matrices, then dcols' a, share one block; one kernel-sized
+    # block holds each dK product, then Kr + Ki, then Kr - Ki
+    ca, dc, g, k = _scratch_blocks(xr.dtype, rows * window, rows * window, rows * cout, kr.size)
+    k = k.reshape(kr.shape)
+    for s in pieces:
+        gr, gi = dre[s].reshape(-1, cout), dim[s].reshape(-1, cout)
+        gc = _view(g, gr.shape)
+        a = np.matmul(_cols(xr[s], kshape, ca, np.add, xi[s]).T, gi, out=k)
+        dkr += a
+        dki += a
+        dkr += np.matmul(_cols(xr[s], kshape, ca).T, np.subtract(gr, gi, out=gc), out=k)
+        dki -= np.matmul(_cols(xi[s], kshape, ca).T, np.add(gr, gi, out=gc), out=k)
+        a = np.matmul(np.subtract(gi, gr, out=gc), ki.T, out=_view(ca, (len(gr), window)))
+        d = np.matmul(gr, np.add(kr, ki, out=k).T, out=_view(dc, a.shape))
+        d += a
+        _col2im_add(dxr[s], d, kshape)
+        d = np.matmul(gi, np.subtract(kr, ki, out=k).T, out=d)
+        d += a
+        _col2im_add(dxi[s], d, kshape)
     dbr = dre.sum(axis=(0, 1, 2, 3))
     dbi = dim.sum(axis=(0, 1, 2, 3))
     return dxr, dxi, dkr.reshape(kshape), dki.reshape(kshape), dbr, dbi

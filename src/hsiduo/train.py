@@ -114,22 +114,26 @@ def backward(model, batch, targets, training=False, dropout_seed=None, grad=None
 
     real_shape, cplx_shape = cache["fold_shapes"]
     d_real = d_rfold.reshape(real_shape)
+    # ReLU masks apply in place and each kernel gradient is dropped once
+    # stored, so neither stays alive through the next layer's backward
     for i in range(len(w["real_conv"]) - 1, -1, -1):
         x_in, pre = cache["real"][i]
-        d_pre = d_real * (pre > 0)
-        d_real, dk, db = layers.conv3d_real_batch_backward(x_in, w["real_conv"][i][0], d_pre)
+        d_real *= pre > 0
+        d_real, dk, db = layers.conv3d_real_batch_backward(x_in, w["real_conv"][i][0], d_real)
         put(g["real_conv"][i], dk, db)
+        del dk
 
     d_re = d_crfold.reshape(cplx_shape)
     d_im = d_cifold.reshape(cplx_shape)
     for i in range(len(w["cplx_conv"]) - 1, -1, -1):
         xr_in, xi_in, pre_re, pre_im = cache["cplx"][i]
-        d_pre_re = d_re * (pre_re > 0)
-        d_pre_im = d_im * (pre_im > 0)
+        d_re *= pre_re > 0
+        d_im *= pre_im > 0
         d_re, d_im, dkr, dki, dbr, dbi = layers.conv3d_complex_batch_backward(
-            xr_in, xi_in, w["cplx_conv"][i], d_pre_re, d_pre_im
+            xr_in, xi_in, w["cplx_conv"][i], d_re, d_im
         )
         put(g["cplx_conv"][i], dkr, dki, dbr, dbi)
+        del dkr, dki
 
     return loss, grad
 

@@ -279,6 +279,82 @@ def test_complex_conv_working_set_is_bounded():
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("xshape, kshape", CONV_GEOMETRIES)
+def test_real_kernel_gives_the_real_layer_for_any_imaginary_input(xshape, kshape):
+    # the Gauss form's shared product a = (cr - ci) Ki is exactly zero when
+    # Ki = 0, so both parts are the real layer bit for bit; the CReLU and
+    # fusion tests rest on this. n = 40 splits into pieces at both geometries
+    xr, xi, p, _, _ = conv_case(np.random.default_rng(22), 40, xshape, kshape)
+    p = p._replace(kernels_im=np.zeros(kshape))
+    out_re, out_im = conv3d_complex_batch(xr, xi, p)
+    assert np.array_equal(out_re, conv3d_real_batch(xr, p.kernels_re, p.bias_re))
+    assert np.array_equal(out_im, conv3d_real_batch(xi, p.kernels_re, p.bias_im))
+
+
+def test_results_never_alias_the_held_scratch():
+    # a second call with another geometry reuses the scratch; the first
+    # call's results must not change
+    rng = np.random.default_rng(23)
+    cases = [conv_case(rng, 5, *geometry) for geometry in CONV_GEOMETRIES]
+    xr, xi, p, dre, dim = cases[0]
+    results = [
+        conv3d_real_batch(xr, p.kernels_re, p.bias_re),
+        *conv3d_complex_batch(xr, xi, p),
+        *conv3d_real_batch_backward(xr, p.kernels_re, dre),
+        *conv3d_complex_batch_backward(xr, xi, p, dre, dim),
+    ]
+    kept = [r.copy() for r in results]
+    xr, xi, p, dre, dim = cases[1]
+    conv3d_complex_batch(xr, xi, p)
+    conv3d_complex_batch_backward(xr, xi, p, dre, dim)
+    conv3d_real_batch_backward(xr, p.kernels_re, dre)
+    for got, want in zip(results, kept):
+        assert not np.shares_memory(got, layers._scratch)
+        assert np.array_equal(got, want)
+
+
+def test_steady_state_complex_conv_allocates_only_its_results():
+    from test_tensor import traced_peak
+
+    # the default model's layer 1 at the training batch: once warm, a call
+    # allocates what it returns and next to nothing else
+    xr, xi, p, dre, dim = conv_case(np.random.default_rng(24), 16, (6, 6, 1, 64), (3, 3, 1, 64, 64))
+    conv3d_complex_batch(xr, xi, p)
+    out, peak = traced_peak(conv3d_complex_batch, xr, xi, p)
+    assert peak < sum(a.nbytes for a in out) + 2**20
+    conv3d_complex_batch_backward(xr, xi, p, dre, dim)
+    grads, peak = traced_peak(conv3d_complex_batch_backward, xr, xi, p, dre, dim)
+    assert peak < sum(a.nbytes for a in grads) + 2**20
+
+
+def test_pieces_bound_the_cout_wide_buffers(monkeypatch):
+    import tracemalloc
+
+    # a (1,1,1) first layer, Cin 1 -> 64, at the inference batch: the
+    # [rows, Cout] products are 64 times the column matrix, so the pieces
+    # must be sized by Cout, not by the window
+    xr, xi, p, dre, dim = conv_case(np.random.default_rng(25), 256, (4, 4, 4, 1), (1, 1, 1, 1, 64))
+    kernel_bytes = p.kernels_re.nbytes
+    monkeypatch.setattr(layers, "_scratch", np.empty(0, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        results = [
+            conv3d_real_batch(xr, p.kernels_re, p.bias_re),
+            *conv3d_real_batch_backward(xr, p.kernels_re, dre),
+            *conv3d_complex_batch(xr, xi, p),
+            *conv3d_complex_batch_backward(xr, xi, p, dre, dim),
+        ]
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in results)  # 24.4 MiB
+    # at most three piece-sized buffers and one kernel-sized one at once
+    bound = 3 * layers._IM2COL_BYTES + kernel_bytes + 2**12
+    assert layers._scratch.nbytes <= bound
+    assert held - returned <= bound
+    assert peak - returned <= bound
+
+
 def crelu_through_model(re, im):
     """CReLU as forward_batch applies it after the complex conv: the last
     two fused channels of a one-band pass-through model."""
