@@ -32,15 +32,24 @@ def _round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class HsiCube:
-    """H x W x B reflectance cube in arbitrary linear units."""
+    """H x W x B reflectance cube in arbitrary linear units.
+
+    A cube read by load_cube is held at its file precision, float32; a
+    cube built in memory (synth_dataset) is float64. Every computation on
+    a cube (PCA and what follows) runs in float64 either way.
+    """
 
     values: Tensor
 
     def __post_init__(self):
         if len(self.values.shape) != 3:
             raise DimensionError(f"cube must be [H,W,B], got {self.values.shape}")
-        if not np.all(np.isfinite(self.values.data)):
-            raise DataError("cube contains non-finite values")
+        # min and max propagate NaN and an infinity is one of them, so a
+        # finite cube is checked in two passes with no cube-sized temporary
+        arr = self.values.as_array()
+        if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0))):
+            band = int(np.argmax(~np.isfinite(arr).all(axis=(0, 1))))
+            raise DataError(f"band {band} (counting from 0) of the cube holds a non-finite value")
 
     @property
     def height(self):
@@ -134,22 +143,34 @@ def _header_field(header: dict, header_path: str, key: str, kind, default=MISSIN
     return schema.read(header.get(key, default), kind, f"header {header_path}: {key}", IngestionError, meta)
 
 
-def _read_payload(header_path: str, header: dict, expected_bytes: int) -> bytes:
+def _payload_path(header_path: str, header: dict, expected_bytes: int) -> str:
+    """The payload file the header names, checked to hold exactly
+    expected_bytes before anything is read."""
     data_name = _header_field(header, header_path, "data", str, meta={"bound": ("must name the payload file", len)})
     payload_path = os.path.join(os.path.dirname(header_path), data_name)
     if not os.path.exists(payload_path):
         raise IngestionError(f"payload not found: {payload_path}")
-    with open(payload_path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) != expected_bytes:
-        raise IngestionError(
-            f"payload {payload_path}: expected {expected_bytes} bytes, found {len(raw)}"
-        )
-    return raw
+    size = os.path.getsize(payload_path)
+    if size != expected_bytes:
+        raise IngestionError(f"payload {payload_path}: expected {expected_bytes} bytes, found {size}")
+    return payload_path
+
+
+# a read tile of load_cube holds every band of a run of rows, as many
+# bytes as about 16 whole bands: 13 MB at Pavia scale beside the 85 MB cube
+_LOAD_TILE_BANDS = 16
 
 
 def load_cube(header_path: str) -> HsiCube:
-    """Read a float32 BSQ cube declared by its JSON header."""
+    """Read a float32 BSQ cube declared by its JSON header.
+
+    The cube is held at its file precision: one read-only, C-ordered
+    float32 [H, W, B] array. The payload is read one tile of rows at a
+    time, all bands of it, into one reused buffer, and each tile is
+    written to its rows of the cube in one pass, so no full-size copy of
+    the file is ever held. A non-finite value raises DataError naming the
+    header and the first band that holds one.
+    """
     header = _read_header(header_path)
     h, w, b = (_header_field(header, header_path, k, int, meta=at_least(1))
                for k in ("height", "width", "bands"))
@@ -158,12 +179,23 @@ def load_cube(header_path: str) -> HsiCube:
         raise IngestionError(f"unknown cube dtype {dtype!r} in {header_path}")
     if _header_field(header, header_path, "interleave", str, "bsq") != "bsq":
         raise IngestionError(f"header {header_path}: interleave: only 'bsq' is supported")
-    raw = _read_payload(header_path, header, h * w * b * 4)
-    arr = np.frombuffer(raw, dtype=_CUBE_DTYPES[dtype]).reshape(b, h, w)
-    # one pass from BSQ float32 to row-major float64; read-only, so Tensor keeps it
-    values = arr.transpose(1, 2, 0).astype(np.float64, order="C")
-    values.flags.writeable = False
-    return HsiCube(Tensor.from_array(values))
+    payload_path = _payload_path(header_path, header, h * w * b * 4)
+    values = np.empty((h, w, b), dtype=np.float32)
+    rows = max(1, h * _LOAD_TILE_BANDS // b)
+    tile = np.empty((b, min(h, rows), w), dtype=_CUBE_DTYPES[dtype])
+    with open(payload_path, "rb") as fh:
+        for r0 in range(0, h, rows):
+            part = tile[:, : min(h - r0, rows)]
+            for k in range(b):  # band k of these rows is one run of the file
+                fh.seek((k * h + r0) * w * 4)
+                if fh.readinto(part[k]) != part[k].nbytes:
+                    raise IngestionError(f"payload {payload_path}: ended inside band {k}")
+            values[r0 : r0 + part.shape[1]] = part.transpose(1, 2, 0)
+    values.flags.writeable = False  # read-only, so Tensor keeps it uncopied
+    try:
+        return HsiCube(Tensor.from_array(values))
+    except DataError as exc:
+        raise DataError(f"{header_path}: {exc}") from None
 
 
 def save_cube(cube: HsiCube, header_path: str):
@@ -194,8 +226,8 @@ def load_labels(header_path: str) -> LabelMap:
     if dtype not in _LABEL_DTYPES:
         raise IngestionError(f"unknown label dtype {dtype!r} in {header_path}")
     classes = _header_field(header, header_path, "classes", list[str], [])
-    raw = _read_payload(header_path, header, h * w * 2)
-    labels = np.frombuffer(raw, dtype=_LABEL_DTYPES[dtype]).reshape(h, w)
+    labels = np.fromfile(_payload_path(header_path, header, h * w * 2), dtype=_LABEL_DTYPES[dtype])
+    labels = labels.reshape(h, w)
     return LabelMap(labels, tuple(classes))
 
 
@@ -323,7 +355,10 @@ def fit_pca(cube: HsiCube, n_components: int):
     n = pixels.shape[0]
     if n < 2:
         raise DataError("fit_pca: need at least 2 pixels")
-    mean = pixels.mean(axis=0)
+    # float64 arithmetic on a float32 cube too: the float64 mean of float32
+    # values, and float64 centred blocks, are bit for bit those of the same
+    # values held as float64
+    mean = pixels.mean(axis=0, dtype=np.float64)
     blocks = [slice(i, i + _PCA_BLOCK_ROWS) for i in range(0, n, _PCA_BLOCK_ROWS)]
     buf = np.empty((min(n, _PCA_BLOCK_ROWS), b))  # one centred block, reused
 

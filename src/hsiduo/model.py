@@ -220,69 +220,81 @@ class DualStreamModel:
 
     # -- forward -------------------------------------------------------
 
-    def forward_batch(self, xr, xc_re, xc_im, training=False, dropout_seed=None):
+    def forward_batch(self, xr, xc_re, xc_im, training=False, dropout_seed=None, cache=True):
         """Probabilities plus the cache needed for backpropagation.
 
         xr, xc_re, xc_im: [N, S, S, P] patch stacks. Dropout masks are
         drawn from a stream keyed by (dropout_seed, layer index) so
         serial and parallel execution produce identical masks.
+
+        With cache=False (evaluation) no cache is kept and (probs, None)
+        is returned: every ReLU is applied in place, and each conv
+        layer's input is dropped once its output exists. The
+        probabilities are those of the cached forward bit for bit.
         """
         n = xr.shape[0]
-        cache = {"real": [], "cplx": []}
+        store = {"real": [], "cplx": [], "dense": []}
         w = self.layer_views()
+
+        def relu(pre):  # a new array only when the cache keeps pre
+            return np.maximum(pre, 0.0, out=None if cache else pre)
 
         a = xr[..., None]
         for kernels, bias in w["real_conv"]:
             pre = layers.conv3d_real_batch(a, kernels, bias)
-            cache["real"].append((a, pre))
-            a = np.maximum(pre, 0.0)
+            if cache:
+                store["real"].append((a, pre))
+            a = relu(pre)
         real_out = a
 
         ar, ai = xc_re[..., None], xc_im[..., None]
         for p in w["cplx_conv"]:
             pre_re, pre_im = layers.conv3d_complex_batch(ar, ai, p)
-            cache["cplx"].append((ar, ai, pre_re, pre_im))
-            ar = np.maximum(pre_re, 0.0)
-            ai = np.maximum(pre_im, 0.0)
+            if cache:
+                store["cplx"].append((ar, ai, pre_re, pre_im))
+            ar, ai = relu(pre_re), relu(pre_im)
 
         # depth axis folded into channels so the SE block sees [H,W,C]
         rh, rw = real_out.shape[1:3]
         rfold = real_out.reshape(n, rh, rw, -1)
         cr_fold = ar.reshape(n, rh, rw, -1)
         ci_fold = ai.reshape(n, rh, rw, -1)
-        cache["fold_shapes"] = (real_out.shape, ar.shape)
         fused = np.concatenate([rfold, cr_fold, ci_fold], axis=3)
-        cache["split"] = (rfold.shape[3], cr_fold.shape[3])
-        cache["fused"] = fused
+        if cache:
+            store["fold_shapes"] = (real_out.shape, ar.shape)
+            store["split"] = (rfold.shape[3], cr_fold.shape[3])
+            store["fused"] = fused
 
         se_out = fused
         for w1, w2 in w["se"]:
-            se_out, cache["se"] = layers.se_forward_batch(fused, w1, w2)
+            se_out, se_cache = layers.se_forward_batch(fused, w1, w2)
+            if cache:
+                store["se"] = se_cache
 
-        flat = se_out.reshape(n, -1)
-        cache["flat_shape"] = se_out.shape
-
-        h = flat
+        h = se_out.reshape(n, -1)
         for i, (weights, bias) in enumerate(w["dense"]):
             pre = layers.dense_batch(h, weights, bias)
-            act = np.maximum(pre, 0.0)
             if training and self.config.dropout_rate > 0.0:
                 rng = np.random.default_rng(np.random.SeedSequence(list(dropout_seed or (0,)) + [i]))
-                mask = layers.dropout_mask(act.shape, self.config.dropout_rate, rng)
+                mask = layers.dropout_mask(pre.shape, self.config.dropout_rate, rng)
             else:
                 mask = None
-            cache.setdefault("dense", []).append((h, pre, mask))
-            h = act if mask is None else act * mask
+            if cache:
+                store["dense"].append((h, pre, mask))
+            h = relu(pre)
+            if mask is not None:
+                h = h * mask
 
         logits = layers.dense_batch(h, *w["head"][0])
-        cache["head_in"] = h
         probs = layers.softmax(logits)
-        cache["probs"] = probs
-        return probs, cache
+        if not cache:
+            return probs, None
+        store.update(flat_shape=se_out.shape, head_in=h, probs=probs)
+        return probs, store
 
     def predict_batch(self, xr, xc_re, xc_im) -> np.ndarray:
         """Zero-based class indices for a patch stack."""
-        probs, _ = self.forward_batch(xr, xc_re, xc_im, training=False)
+        probs, _ = self.forward_batch(xr, xc_re, xc_im, cache=False)
         return np.argmax(probs, axis=1)
 
     def find_nonfinite_layer(self, cache) -> str:

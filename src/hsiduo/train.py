@@ -231,7 +231,7 @@ def evaluate_loss_accuracy(model, data: PatchSet, batch_size: int = 256):
     onehot = data.onehot(model.n_classes)
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
-        probs, _ = model.forward_batch(data.xr[lo:hi], data.xc_re[lo:hi], data.xc_im[lo:hi])
+        probs, _ = model.forward_batch(data.xr[lo:hi], data.xc_re[lo:hi], data.xc_im[lo:hi], cache=False)
         total_loss += -(onehot[lo:hi] * np.log(np.maximum(probs, LOG_CLAMP))).sum()
         correct += int((np.argmax(probs, axis=1) == data.labels[lo:hi] - 1).sum())
     return total_loss / n, correct / n

@@ -61,3 +61,31 @@ def test_benchmark_counters_read_a_traced_fit():
     )
     proc = run_from_root("-c", code)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_counts_prediction_in_the_traced_forward():
+    # prediction runs through DualStreamModel.forward_batch, the one forward
+    # that perfbench traces, so its per-layer figures cover the map workload
+    code = (
+        "import sys, time\n"
+        "sys.path[:0] = ['src', 'perfbench']\n"
+        "import numpy as np\n"
+        "from spans import Tracer\n"
+        "tracer = Tracer(time.monotonic)\n"
+        "tracer.install()\n"
+        "from hsiduo import cli, model\n"
+        "conv = [model.ConvLayerSpec((3, 3, 3), 2)]\n"
+        "cfg = model.ModelConfig(pca_components=4, patch_size=8, real_convs=conv, complex_convs=conv,\n"
+        "                        se_ratio=2, dense_widths=[4])\n"
+        "net = model.DualStreamModel.build(cfg, 3, np.random.default_rng(0))\n"
+        "std = np.random.default_rng(1).normal(size=(12, 10, 4))\n"
+        "rows, cols = np.divmod(np.arange(0, 120, 2), 10)\n"
+        "start = time.monotonic()\n"
+        "pred = cli.predict_samples(net, std, rows, cols, 8, chunk=16)\n"
+        "metrics = tracer.layer_metrics(start, time.monotonic() - start)\n"
+        "assert pred.shape == (60,), pred.shape\n"
+        "assert metrics['model.forward_px'] == 60, metrics\n"
+        "assert metrics['layers.conv_fwd_gflop'] > 0, metrics\n"
+    )
+    proc = run_from_root("-c", code)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -501,3 +501,20 @@ def test_label_map_must_match_cube(tmp_path, dataset, capsys):
         err = capsys.readouterr().err
         assert "labels" in err and "24x20" in err and "16x16" in err
     assert not os.path.exists(tmp_path / "run") and not os.path.exists(tmp_path / "m.ppm")
+
+
+@pytest.mark.parametrize("command", ["train", "map"])
+def test_non_finite_cube_exits_2_and_names_header_and_band(tmp_path, dataset, capsys, command):
+    header = os.path.join(dataset, "cube.json")
+    payload = np.fromfile(os.path.join(dataset, "cube.raw"), dtype="<f4").reshape(8, 16, 16)
+    payload[5, 3, 11] = np.nan  # band 5 of the BSQ payload; band 6 after it
+    payload[6, 0, 0] = np.inf
+    payload.tofile(os.path.join(dataset, "cube.raw"))
+    inputs = ["--cube", header, "--labels", os.path.join(dataset, "labels.json")]
+    if command == "map":
+        args = ["map", *inputs, "--checkpoint", untrained_checkpoint(tmp_path), "--out", str(tmp_path / "m.ppm")]
+    else:
+        args = ["train", *inputs, "--config", write_config(tmp_path, small_config_doc(epochs=1)),
+                "--out", str(tmp_path / "run")]
+    assert main(args) == 2
+    assert f"{header}: band 5 (counting from 0) of the cube holds a non-finite value" in capsys.readouterr().err

@@ -57,9 +57,42 @@ def test_load_cube_converts_in_one_pass(tmp_path):
     save_cube(HsiCube(Tensor.from_array(vals)), path)
     cube, peak = traced_peak(load_cube, path)
     arr = cube.values.as_array()
-    assert np.array_equal(arr, vals) and arr.flags.c_contiguous and not arr.flags.writeable
-    # the float32 payload plus the one float64 cube, with no further copy
-    assert peak < 2.0 * vals.nbytes
+    assert arr.dtype == np.float32 and np.array_equal(arr, vals)
+    assert arr.flags.c_contiguous and not arr.flags.writeable
+    # the float32 cube (half the float64 bytes) plus one read tile of about
+    # 16 of its 103 bands, with no copy of the payload
+    assert peak < 0.6 * vals.nbytes
+
+
+def test_loaded_cube_pca_is_bitwise_the_float64_pca(tmp_path):
+    # 97 x 171 pixels: two full fit_pca row blocks and a ragged third; 20
+    # bands, so load_cube reads the payload in two tiles of rows
+    h, w, b = 97, 171, 20
+    assert 2 * data._PCA_BLOCK_ROWS < h * w < 3 * data._PCA_BLOCK_ROWS
+    rng = np.random.default_rng(13)
+    vals = (rng.normal(size=(h, w, b)) * np.geomspace(3.0, 0.01, b) + 5.0).astype(np.float32)
+    path = str(tmp_path / "cube.json")
+    save_cube(HsiCube(Tensor.from_array(vals)), path)
+    loaded = load_cube(path)
+    arr = loaded.values.as_array()
+    payload = np.fromfile(str(tmp_path / "cube.raw"), dtype="<f4").reshape(b, h, w)
+    assert arr.dtype == np.float32 and arr.flags.c_contiguous and not arr.flags.writeable
+    assert np.array_equal(arr, payload.transpose(1, 2, 0))
+
+    pca32, reduced32 = fit_pca(loaded, 8)
+    pca64, reduced64 = fit_pca(HsiCube(Tensor.from_array(vals.astype(np.float64))), 8)
+    for name in ("mean", "components", "explained_variance"):
+        assert np.array_equal(getattr(pca32, name), getattr(pca64, name)), name
+    assert np.array_equal(reduced32.data, reduced64.data)
+    assert np.array_equal(standardize(reduced32).data, standardize(reduced64).data)
+
+
+def test_in_memory_cube_names_its_first_non_finite_band():
+    vals = np.ones((3, 4, 5))
+    vals[2, 1, 3] = np.nan
+    vals[0, 0, 4] = -np.inf
+    with pytest.raises(DataError, match=r"band 3 \(counting from 0\) of the cube holds a non-finite value"):
+        HsiCube(Tensor.from_array(vals))
 
 
 def test_loaders_close_their_files(tmp_path, monkeypatch):

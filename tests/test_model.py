@@ -190,3 +190,38 @@ def test_streams_must_align_spatially():
     )
     with pytest.raises(ConfigError, match="fusion"):
         cfg.validate()
+
+
+def patch_batch(n, config, seed):
+    """A random [N, S, S, P] real patch stack and its band-wise FFT."""
+    from hsiduo.spectral import bandwise_fft_arrays
+
+    s, p = config.patch_size, config.pca_components
+    xr = np.random.default_rng(seed).normal(size=(n, s, s, p))
+    return (xr, *bandwise_fft_arrays(xr))
+
+
+@pytest.mark.parametrize("config, n", [(ModelConfig(), 256), (small_config(), 40)],
+                         ids=["default-batch-256", "dropout"])
+def test_cacheless_forward_gives_the_cached_probabilities(config, n):
+    model = DualStreamModel.build(config, 9, np.random.default_rng(4))
+    batch = patch_batch(n, config, 5)
+    before = [x.copy() for x in batch]
+    cached, cache = model.forward_batch(*batch, training=False)
+    bare, none = model.forward_batch(*batch, training=False, cache=False)
+    assert cache is not None and none is None
+    assert np.array_equal(bare, cached)
+    assert np.array_equal(model.predict_batch(*batch), np.argmax(cached, axis=1))
+    assert all(np.array_equal(x, y) for x, y in zip(batch, before))  # in-place ReLU spares the inputs
+
+
+def test_warm_prediction_keeps_no_backward_cache():
+    from test_tensor import traced_peak
+
+    config = ModelConfig()
+    model = DualStreamModel.build(config, 9, np.random.default_rng(6))
+    batch = patch_batch(256, config, 7)  # 6 MiB of input
+    model.predict_batch(*batch)  # warm: the conv kernels' scratch is held from here on
+    _, peak = traced_peak(model.predict_batch, *batch)
+    # the cached forward peaks at 42 MiB here, the cacheless one at about 13
+    assert peak < 16 * 2**20
