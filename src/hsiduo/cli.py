@@ -15,6 +15,8 @@ import math
 import os
 import sys
 
+from . import schema
+
 # class 0 is black; classes cycle through the remaining 15 entries
 PALETTE = (
     (0, 0, 0),
@@ -43,28 +45,26 @@ def class_color(cls: int):
 
 
 def _setup_threads(argv):
-    """Pin BLAS/OpenMP pools before numpy is imported anywhere.
+    """Pin BLAS/OpenMP pools before numpy is imported anywhere; returns an
+    error message, and sets nothing, if the count is not an integer >= 1.
 
     This only sets environment variables, which the pools read when numpy
     loads. The pin therefore applies only when hsiduo is the process entry
     point (`python -m hsiduo`); a caller that has already imported numpy
     keeps the thread counts it started with.
     """
-    threads = os.environ.get("HSIDUO_THREADS")
+    source, threads = "HSIDUO_THREADS", os.environ.get("HSIDUO_THREADS")
     for i, arg in enumerate(argv):
         if arg == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
+            source, threads = "--threads", argv[i + 1]
         elif arg.startswith("--threads="):
-            threads = arg.split("=", 1)[1]
+            source, threads = "--threads", arg.split("=", 1)[1]
+    if threads and not (threads.isdecimal() and int(threads) >= 1):
+        return f"error: {source} must be an integer >= 1, got {threads!r}"
     if threads:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-
-
-def _default_config_json() -> str:
-    from .model import ModelConfig
-
-    return json.dumps(ModelConfig().to_json_dict(), sort_keys=True, indent=1)
+            os.environ[var] = threads
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,12 +151,30 @@ def _check_scene(cube, label_map):
         )
 
 
-def _check_inputs(cube, label_map, config, seed: int):
-    """Every check a training run makes before any work; returns the train
-    config with the seed applied."""
+def _standardized(cube, n_components):
+    """The cube reduced to n_components by PCA and standardized, as the
+    array that patches are cut from."""
+    from .data import fit_pca, standardize  # at call time, so a wrapper set on data is seen
+
+    _, reduced = fit_pca(cube, n_components)
+    return standardize(reduced).as_array()
+
+
+def run_training(cube, label_map, config, seed: int):
+    """PCA -> standardize -> split -> patch/FFT -> fit -> test evaluation.
+
+    Returns (model, history, report_dict, class_names). Every input check
+    comes before any work.
+    """
     from dataclasses import replace
 
+    import numpy as np
+
+    from . import metrics
+    from .data import stratified_split
     from .errors import DataError
+    from .model import DualStreamModel
+    from .train import fit
 
     config.validate()
     train_cfg = replace(config.train, seed=seed)
@@ -164,28 +182,10 @@ def _check_inputs(cube, label_map, config, seed: int):
     _check_scene(cube, label_map)
     if label_map.n_classes < 2:
         raise DataError(f"need at least 2 labeled classes, found {label_map.n_classes}")
-    return train_cfg
-
-
-def run_training(cube, label_map, config, seed: int):
-    """PCA -> standardize -> split -> patch/FFT -> fit -> test evaluation.
-
-    Returns (model, history, report_dict, class_names).
-    """
-    import numpy as np
-
-    from . import metrics
-    from .data import fit_pca, standardize, stratified_split
-    from .model import DualStreamModel
-    from .train import fit
-
-    train_cfg = _check_inputs(cube, label_map, config, seed)
     n_classes = label_map.n_classes
     class_names = list(label_map.class_names) or [f"class_{c}" for c in range(1, n_classes + 1)]
 
-    _, reduced = fit_pca(cube, config.pca_components)
-    std = standardize(reduced)
-    std_array = std.as_array()
+    std_array = _standardized(cube, config.pca_components)
 
     train_samples, val_samples, test_samples = stratified_split(label_map, seed=seed)
     train_ps = build_patchset(std_array, train_samples, config.patch_size)
@@ -215,8 +215,7 @@ def run_training(cube, label_map, config, seed: int):
 
 def _write_json(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        schema.dump(doc, fh)
 
 
 def _load_config(path):
@@ -235,20 +234,38 @@ def _load_config(path):
     return ModelConfig.from_json_dict(doc)
 
 
-def _run_manifest(command, seed, config, inputs, outputs, extra=None):
+def _run_inputs(args):
+    """A train or trial run's config, seed (--seed over the config's), cube
+    and label map."""
+    from .data import load_cube, load_labels
+
+    config = _load_config(args.config)
+    seed = args.seed if args.seed is not None else config.train.seed
+    return config, seed, load_cube(args.cube), load_labels(args.labels)
+
+
+def _write_run(out, model, history, report, class_names):
+    """One run's checkpoint, history and report, in the directory out."""
+    from .model import save_checkpoint
+
+    os.makedirs(out, exist_ok=True)
+    save_checkpoint(model, os.path.join(out, "checkpoint.json"), class_names)
+    _write_json(os.path.join(out, "history.json"), history)
+    _write_json(os.path.join(out, "report.json"), report)
+
+
+def _run_manifest(args, seed, config, outputs, **extra):
     from .model import config_hash
 
-    doc = {
-        "command": command,
+    return {
+        "command": args.command,
         "seed": seed,
         "config_hash": config_hash(config),
-        "inputs": inputs,
+        "inputs": {"cube": os.path.abspath(args.cube), "labels": os.path.abspath(args.labels)},
         "outputs": outputs,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        **extra,
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def write_ppm(path, rgb):
@@ -268,12 +285,10 @@ def write_ppm(path, rgb):
 def cmd_synth(args) -> int:
     from .data import save_cube, save_labels, synth_dataset
 
-    if args.classes < 2:
-        print("error: need >= 2 classes", file=sys.stderr)
-        return 2
-    for flag, value in (("--height", args.height), ("--width", args.width), ("--bands", args.bands)):
-        if value < 1:
-            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+    for flag, value, lo in (("--classes", args.classes, 2), ("--height", args.height, 1),
+                            ("--width", args.width, 1), ("--bands", args.bands, 1), ("--seed", args.seed, 0)):
+        if value < lo:
+            print(f"error: {flag} must be >= {lo}, got {value}", file=sys.stderr)
             return 2
     if not (math.isfinite(args.noise) and args.noise >= 0):
         print(f"error: --noise must be a finite number >= 0, got {args.noise}", file=sys.stderr)
@@ -282,10 +297,8 @@ def cmd_synth(args) -> int:
         args.classes, args.height, args.width, args.bands, args.noise, args.seed
     )
     os.makedirs(args.out, exist_ok=True)
-    cube_path = os.path.join(args.out, "cube.json")
-    labels_path = os.path.join(args.out, "labels.json")
-    save_cube(cube, cube_path)
-    save_labels(label_map, labels_path)
+    save_cube(cube, os.path.join(args.out, "cube.json"))
+    save_labels(label_map, os.path.join(args.out, "labels.json"))
     _write_json(
         os.path.join(args.out, "synth_manifest.json"),
         {
@@ -303,103 +316,52 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .data import load_cube, load_labels
-    from .model import save_checkpoint
-
-    config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else config.train.seed
-    cube = load_cube(args.cube)
-    label_map = load_labels(args.labels)
+    config, seed, cube, label_map = _run_inputs(args)
     model, history, report, class_names = run_training(cube, label_map, config, seed)
-
-    os.makedirs(args.out, exist_ok=True)
-    ckpt_path = os.path.join(args.out, "checkpoint.json")
-    save_checkpoint(model, ckpt_path, class_names)
-    _write_json(os.path.join(args.out, "history.json"), history)
-    _write_json(os.path.join(args.out, "report.json"), report)
-    _write_json(
-        os.path.join(args.out, "run_manifest.json"),
-        _run_manifest(
-            "train",
-            seed,
-            config,
-            {"cube": os.path.abspath(args.cube), "labels": os.path.abspath(args.labels)},
-            {
-                "checkpoint": "checkpoint.json",
-                "history": "history.json",
-                "report": "report.json",
-            },
-        ),
-    )
+    _write_run(args.out, model, history, report, class_names)
+    outputs = {"checkpoint": "checkpoint.json", "history": "history.json", "report": "report.json"}
+    _write_json(os.path.join(args.out, "run_manifest.json"), _run_manifest(args, seed, config, outputs))
     return 0
 
 
 def cmd_trial(args) -> int:
+    """`--repeats` runs at seeds --seed, --seed + 1, ..., each written to
+    trial_XX/ as train writes one run; then the best run's report with the
+    aggregate `trials` block (nothing is written before the first run)."""
     from . import metrics
-    from .data import load_cube, load_labels
-    from .model import save_checkpoint
 
     if args.repeats < 1:
         print("error: --repeats must be >= 1", file=sys.stderr)
         return 2
-    config = _load_config(args.config)
-    master_seed = args.seed if args.seed is not None else config.train.seed
-    cube = load_cube(args.cube)
-    label_map = load_labels(args.labels)
-    _check_inputs(cube, label_map, config, master_seed)  # a rejected input leaves no --out behind
-    os.makedirs(args.out, exist_ok=True)
+    config, master_seed, cube, label_map = _run_inputs(args)
+    seeds = [master_seed + i for i in range(args.repeats)]
+    reports = []
+    for i, seed in enumerate(seeds):
+        model, history, report, class_names = run_training(cube, label_map, config, seed)
+        _write_run(os.path.join(args.out, f"trial_{i:02d}"), model, history, report, class_names)
+        reports.append(report)
 
-    trial_metrics = []
-    trial_reports = []
-    trial_seeds = []
-    for i in range(args.repeats):
-        seed_i = master_seed + i
-        trial_seeds.append(seed_i)
-        model, history, report, class_names = run_training(cube, label_map, config, seed_i)
-        tdir = os.path.join(args.out, f"trial_{i:02d}")
-        os.makedirs(tdir, exist_ok=True)
-        save_checkpoint(model, os.path.join(tdir, "checkpoint.json"), class_names)
-        _write_json(os.path.join(tdir, "history.json"), history)
-        _write_json(os.path.join(tdir, "report.json"), report)
-        trial_reports.append(report)
-        trial_metrics.append(
-            {"oa": report["oa"], "aa": report["aa"], "kappa": report["kappa"], "per_class": report["per_class"]}
-        )
-
-    agg = metrics.aggregate_trials(trial_metrics)
-    best = trial_reports[agg.best_trial]
-    # full EvalReport: the best trial's metrics plus the aggregate block
+    trials = metrics.aggregate_trials(reports)
+    best = reports[trials["best_trial"]]
     _write_json(
         os.path.join(args.out, "trial_report.json"),
         {
             "classes": class_names,
-            "confusion": best["confusion"],
-            "per_class": best["per_class"],
-            "oa": best["oa"],
-            "aa": best["aa"],
-            "kappa": best["kappa"],
-            "trials": agg.to_json_dict(),
-            "per_trial": trial_metrics,
+            **{key: best[key] for key in ("confusion", "per_class", "oa", "aa", "kappa")},
+            "trials": trials,
+            "per_trial": [{key: r[key] for key in ("oa", "aa", "kappa", "per_class")} for r in reports],
         },
     )
-    _write_json(
-        os.path.join(args.out, "run_manifest.json"),
-        _run_manifest(
-            "trial",
-            master_seed,
-            config,
-            {"cube": os.path.abspath(args.cube), "labels": os.path.abspath(args.labels)},
-            {"trial_report": "trial_report.json"},
-            extra={"per_trial_seeds": trial_seeds, "repeats": args.repeats},
-        ),
-    )
+    manifest = _run_manifest(args, master_seed, config, {"trial_report": "trial_report.json"},
+                             per_trial_seeds=seeds, repeats=args.repeats)
+    _write_json(os.path.join(args.out, "run_manifest.json"), manifest)
     return 0
 
 
 def cmd_map(args) -> int:
     import numpy as np
 
-    from .data import fit_pca, load_cube, load_labels, standardize
+    from .data import load_cube, load_labels
     from .errors import ConfigError
     from .model import load_checkpoint
 
@@ -413,8 +375,7 @@ def cmd_map(args) -> int:
             f"checkpoint expects {config.pca_components} components but cube has {cube.bands} bands"
         )
 
-    _, reduced = fit_pca(cube, config.pca_components)
-    std_array = standardize(reduced).as_array()
+    std_array = _standardized(cube, config.pca_components)
 
     h, w = label_map.height, label_map.width
     rgb = np.zeros((h, w, 3), dtype=np.uint8)
@@ -433,9 +394,14 @@ def cmd_map(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _setup_threads(argv)
+    error = _setup_threads(argv)
+    if error:
+        print(error, file=sys.stderr)
+        return 2
     if "--emit-default-config" in argv:
-        print(_default_config_json())
+        from .model import ModelConfig
+
+        schema.dump(ModelConfig().to_json_dict(), sys.stdout)
         return 0
     parser = build_parser()
     try:

@@ -103,18 +103,14 @@ class PcaModel:
     components: np.ndarray
     explained_variance: np.ndarray
 
-    def transform(self, pixels: np.ndarray) -> np.ndarray:
-        return (pixels - self.mean) @ self.components
-
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Pixel coordinates with labels for one split role."""
+    """Pixel coordinates with labels for one part of a split."""
 
     rows: np.ndarray
     cols: np.ndarray
     labels: np.ndarray
-    role: str
 
     def __len__(self):
         return self.rows.shape[0]
@@ -198,25 +194,26 @@ def load_cube(header_path: str) -> HsiCube:
         raise DataError(f"{header_path}: {exc}") from None
 
 
+def _save(header_path: str, header: dict, payload: np.ndarray):
+    """Write payload's bytes to the .raw file named after header_path, then
+    the header, which names that file under `data`."""
+    header["data"] = os.path.splitext(os.path.basename(header_path))[0] + ".raw"
+    with open(os.path.join(os.path.dirname(header_path), header["data"]), "wb") as fh:
+        fh.write(payload.tobytes())
+    with open(header_path, "w", encoding="utf-8") as fh:
+        schema.dump(header, fh)
+
+
 def save_cube(cube: HsiCube, header_path: str):
     """Write header + BSQ float32 payload next to it."""
-    data_name = os.path.splitext(os.path.basename(header_path))[0] + ".raw"
     header = {
         "height": cube.height,
         "width": cube.width,
         "bands": cube.bands,
         "dtype": "f32",
         "interleave": "bsq",
-        "data": data_name,
     }
-    payload = np.ascontiguousarray(
-        cube.values.as_array().transpose(2, 0, 1), dtype="<f4"
-    ).tobytes()
-    with open(os.path.join(os.path.dirname(header_path), data_name), "wb") as fh:
-        fh.write(payload)
-    with open(header_path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _save(header_path, header, np.ascontiguousarray(cube.values.as_array().transpose(2, 0, 1), dtype="<f4"))
 
 
 def load_labels(header_path: str) -> LabelMap:
@@ -227,26 +224,24 @@ def load_labels(header_path: str) -> LabelMap:
         raise IngestionError(f"unknown label dtype {dtype!r} in {header_path}")
     classes = _header_field(header, header_path, "classes", list[str], [])
     labels = np.fromfile(_payload_path(header_path, header, h * w * 2), dtype=_LABEL_DTYPES[dtype])
-    labels = labels.reshape(h, w)
-    return LabelMap(labels, tuple(classes))
+    label_map = LabelMap(labels.reshape(h, w), tuple(classes))
+    # a list may name classes the map does not hold, but not fewer than it does
+    if classes and len(classes) < label_map.n_classes:
+        raise IngestionError(
+            f"header {header_path}: classes: names {len(classes)} classes, the labels reach {label_map.n_classes}"
+        )
+    return label_map
 
 
 def save_labels(label_map: LabelMap, header_path: str):
-    data_name = os.path.splitext(os.path.basename(header_path))[0] + ".raw"
     header = {
         "height": label_map.height,
         "width": label_map.width,
         "dtype": "u16",
-        "data": data_name,
     }
     if label_map.class_names:
         header["classes"] = list(label_map.class_names)
-    payload = np.ascontiguousarray(label_map.labels, dtype="<u2").tobytes()
-    with open(os.path.join(os.path.dirname(header_path), data_name), "wb") as fh:
-        fh.write(payload)
-    with open(header_path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _save(header_path, header, np.ascontiguousarray(label_map.labels, dtype="<u2"))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +476,6 @@ def stratified_split(
             np.concatenate(rows).astype(np.int32),
             np.concatenate(cols).astype(np.int32),
             np.concatenate(labs),
-            role,
         )
 
     return build("train"), build("val"), build("test")

@@ -89,60 +89,20 @@ def kappa(m: ConfusionMatrix) -> float:
     return num / den
 
 
-@dataclass(frozen=True)
-class TrialReport:
-    """mean/std/best per metric across repeated trials, plus the best
-    trial's per-class accuracies (matching the best-of-n convention)."""
-
-    n: int
-    oa_mean: float
-    oa_std: float
-    oa_best: float
-    aa_mean: float
-    aa_std: float
-    aa_best: float
-    kappa_mean: float
-    kappa_std: float
-    kappa_best: float
-    best_trial: int
-    per_class_best: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "oa": {"mean": self.oa_mean, "std": self.oa_std, "best": self.oa_best},
-            "aa": {"mean": self.aa_mean, "std": self.aa_std, "best": self.aa_best},
-            "kappa": {
-                "mean": self.kappa_mean,
-                "std": self.kappa_std,
-                "best": self.kappa_best,
-            },
-            "best_trial": self.best_trial,
-            "per_class_best": list(self.per_class_best),
-        }
-
-
-def aggregate_trials(reports) -> TrialReport:
-    """Population mean/std over trials; 'best' is the trial with maximum
-    OA, whose AA, kappa, and per-class accuracies are reported alongside."""
+def aggregate_trials(reports) -> dict:
+    """The `trials` block of trial_report.json: population mean/std over
+    trials and 'best' per metric, where the best trial is the one with
+    maximum OA, whose AA, kappa, and per-class accuracies are reported
+    alongside (matching the best-of-n convention)."""
     reports = list(reports)
     if not reports:
         raise MetricError("aggregate_trials: empty trial list")
-    oas = np.array([r["oa"] for r in reports], dtype=np.float64)
-    aas = np.array([r["aa"] for r in reports], dtype=np.float64)
-    kappas = np.array([r["kappa"] for r in reports], dtype=np.float64)
-    best = int(np.argmax(oas))
-    return TrialReport(
-        n=len(reports),
-        oa_mean=float(oas.mean()),
-        oa_std=float(oas.std()),
-        oa_best=float(oas[best]),
-        aa_mean=float(aas.mean()),
-        aa_std=float(aas.std()),
-        aa_best=float(aas[best]),
-        kappa_mean=float(kappas.mean()),
-        kappa_std=float(kappas.std()),
-        kappa_best=float(kappas[best]),
-        best_trial=best,
-        per_class_best=tuple(float(x) for x in reports[best]["per_class"]),
-    )
+    values = {key: np.array([r[key] for r in reports], dtype=np.float64) for key in ("oa", "aa", "kappa")}
+    best = int(np.argmax(values["oa"]))
+    return {
+        "n": len(reports),
+        **{key: {"mean": float(v.mean()), "std": float(v.std()), "best": float(v[best])}
+           for key, v in values.items()},
+        "best_trial": best,
+        "per_class_best": [float(x) for x in reports[best]["per_class"]],
+    }

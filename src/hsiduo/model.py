@@ -355,8 +355,7 @@ def save_checkpoint(model: DualStreamModel, manifest_path: str, class_names=None
             fh.flush()
             os.fsync(fh.fileno())
         with open(tmp_manifest, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            schema.dump(manifest, fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_params, params_path)

@@ -7,11 +7,13 @@ finite), bool, str, dict, list[T], tuple[T, ...] of a fixed length, or a
 dataclass. A dataclass is a field table: each field's annotation is its
 JSON type, `field(metadata=...)` may hold its bound, and an absent field
 takes its default. Every error names the dotted path of the bad value,
-such as `train.lr` or `real_convs[0].kernel[2]`.
+such as `train.lr` or `real_convs[0].kernel[2]`. Every JSON file hsiduo
+writes goes through `dump`.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -81,3 +83,9 @@ def to_json(value):
     if isinstance(value, (list, tuple)):
         return [to_json(v) for v in value]
     return value
+
+
+def dump(doc, fh):
+    """doc into the open text file fh: sorted keys, indent 1, final newline."""
+    json.dump(doc, fh, sort_keys=True, indent=1)
+    fh.write("\n")

@@ -84,12 +84,32 @@ def test_synth_rejects_single_class(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--bands", "0"), ("--height", "0"), ("--width", "-3"),
-    ("--noise", "-0.1"), ("--noise", "nan"), ("--noise", "inf"),
+    ("--noise", "-0.1"), ("--noise", "nan"), ("--noise", "inf"), ("--seed", "-1"),
 ])
 def test_synth_rejects_bad_scene_flag(tmp_path, capsys, flag, value):
     out = tmp_path / "x"
     assert main(["synth", flag, value, "--out", str(out)]) == 2
     assert f"error: {flag} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("flags, env, source", [
+    (["--threads", "0"], None, "--threads"),
+    (["--threads=-4"], None, "--threads"),
+    ([], "abc", "HSIDUO_THREADS"),
+], ids=["flag-0", "flag=-4", "env-abc"])
+def test_bad_thread_count_exits_2_and_sets_nothing(tmp_path, capsys, monkeypatch, flags, env, source):
+    for var in ("HSIDUO_THREADS", *THREAD_VARS):
+        monkeypatch.delenv(var, raising=False)
+    if env is not None:
+        monkeypatch.setenv("HSIDUO_THREADS", env)
+    out = tmp_path / "x"
+    assert main(["synth", *flags, "--out", str(out)]) == 2
+    assert f"error: {source} must be an integer >= 1" in capsys.readouterr().err
+    assert not any(var in os.environ for var in THREAD_VARS)
     assert not out.exists()
 
 
@@ -142,6 +162,11 @@ def test_train_writes_outputs_and_is_deterministic(tmp_path, dataset):
     assert all(set(h) == {"epoch", "train_loss", "val_loss", "val_oa"} for h in history)
     manifest = json.load(open(os.path.join(run1, "run_manifest.json")))
     assert manifest["seed"] == 3 and "config_hash" in manifest
+    assert manifest["command"] == "train"
+    assert manifest["inputs"] == {"cube": os.path.abspath(os.path.join(dataset, "cube.json")),
+                                  "labels": os.path.abspath(os.path.join(dataset, "labels.json"))}
+    assert manifest["outputs"] == {"checkpoint": "checkpoint.json", "history": "history.json",
+                                   "report": "report.json"}
 
 
 def test_trial_single_repeat_matches_train(tmp_path, dataset):
@@ -165,12 +190,12 @@ def test_trial_single_repeat_matches_train(tmp_path, dataset):
     assert set(agg) >= {"classes", "confusion", "per_class", "oa", "aa", "kappa", "trials"}
 
 
-def test_trial_aggregate_cross_checks_per_trial_reports(tmp_path, dataset):
+def test_trial_aggregate_cross_checks_per_trial_reports(tmp_path, dataset, monkeypatch):
     config = write_config(tmp_path, small_config_doc())
     out = str(tmp_path / "trials")
+    monkeypatch.chdir(dataset)  # relative inputs, which the manifest records as absolute paths
     assert main(
-        ["trial", "--cube", os.path.join(dataset, "cube.json"),
-         "--labels", os.path.join(dataset, "labels.json"),
+        ["trial", "--cube", "cube.json", "--labels", "labels.json",
          "--config", config, "--seed", "7", "--repeats", "3", "--out", out]
     ) == 0
     agg = json.load(open(os.path.join(out, "trial_report.json")))
@@ -183,6 +208,54 @@ def test_trial_aggregate_cross_checks_per_trial_reports(tmp_path, dataset):
     assert agg["trials"]["oa"]["best"] == max(oas)
     manifest = json.load(open(os.path.join(out, "run_manifest.json")))
     assert manifest["per_trial_seeds"] == [7, 8, 9]
+    assert manifest["command"] == "trial" and manifest["seed"] == 7 and manifest["repeats"] == 3
+    assert manifest["inputs"] == {"cube": os.path.join(os.getcwd(), "cube.json"),
+                                  "labels": os.path.join(os.getcwd(), "labels.json")}
+    assert manifest["outputs"] == {"trial_report": "trial_report.json"}
+
+
+def test_trial_whose_first_run_fails_leaves_no_output(tmp_path, dataset, monkeypatch, capsys):
+    import hsiduo.cli as cli_module
+    from hsiduo.errors import NumericError
+
+    def boom(*args, **kwargs):
+        raise NumericError("non-finite loss; first bad layer: dense0")
+
+    monkeypatch.setattr(cli_module, "run_training", boom)
+    out = tmp_path / "trials"
+    assert main(["trial", "--cube", os.path.join(dataset, "cube.json"),
+                 "--labels", os.path.join(dataset, "labels.json"), "--out", str(out)]) == 3
+    assert "dense0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_json_file_is_in_the_one_layout(tmp_path, dataset, capsys):
+    """synth, train, trial and --emit-default-config all write sorted keys,
+    indent 1 and a final newline."""
+    config = write_config(tmp_path, small_config_doc(epochs=1))
+    base = ["--cube", os.path.join(dataset, "cube.json"), "--labels", os.path.join(dataset, "labels.json"),
+            "--config", config]
+    assert main(["train", *base, "--out", str(tmp_path / "train")]) == 0
+    assert main(["trial", *base, "--repeats", "2", "--out", str(tmp_path / "trial")]) == 0
+    capsys.readouterr()
+    assert main(["--emit-default-config"]) == 0
+    texts = {"--emit-default-config": capsys.readouterr().out}
+    for top in ("data", "train", "trial"):
+        for root, _, names in os.walk(tmp_path / top):
+            for name in names:
+                if name.endswith(".json"):
+                    path = os.path.join(root, name)
+                    texts[os.path.relpath(path, tmp_path)] = open(path, encoding="utf-8").read()
+    run = {"checkpoint.json", "history.json", "report.json"}
+    assert set(texts) == {
+        "--emit-default-config",
+        *(os.path.join("data", n) for n in ("cube.json", "labels.json", "synth_manifest.json")),
+        *(os.path.join("train", n) for n in run | {"run_manifest.json"}),
+        *(os.path.join("trial", n) for n in ("trial_report.json", "run_manifest.json")),
+        *(os.path.join("trial", t, n) for t in ("trial_00", "trial_01") for n in run),
+    }
+    for name, text in texts.items():
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n", name
 
 
 def test_map_header_and_all_background(tmp_path, dataset):
@@ -404,6 +477,11 @@ def break_labels_classes_text(ckpt, dataset, doc):
     return "map", "labels.json: classes: expected a list"
 
 
+def break_labels_classes_short(ckpt, dataset, doc):
+    set_header_field(dataset, "labels.json", "classes", ["a"])  # the labels reach 3
+    return "train", "labels.json: classes: names 1 classes, the labels reach 3"
+
+
 def break_config_seed_negative(ckpt, dataset, doc):
     doc["train"]["seed"] = -1
     return "train", "train.seed: must be >= 0"
@@ -438,7 +516,7 @@ def break_manifest_config_type(ckpt, dataset, doc):
      break_config_pca_text, break_config_pca_fraction, break_config_dense_scalar, break_config_se_text,
      break_config_kernel_fraction, break_config_lr_text, break_config_epochs_bool,
      break_manifest_config_type, break_cube_height_negative, break_cube_width_fraction,
-     break_cube_bands_text, break_labels_classes_scalar, break_labels_classes_text,
+     break_cube_bands_text, break_labels_classes_scalar, break_labels_classes_text, break_labels_classes_short,
      break_config_seed_negative, break_config_lr_infinite, break_config_dropout_nan,
      break_config_conv_unknown_key],
 )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hsiduo.errors import DimensionError, MetricError
-from hsiduo.metrics import ConfusionMatrix, TrialReport, aa, aggregate_trials, kappa, oa, per_class
+from hsiduo.metrics import ConfusionMatrix, aa, aggregate_trials, kappa, oa, per_class
 
 
 def test_perfect_diagonal():
@@ -121,18 +121,18 @@ def trial(oa_v, aa_v, kappa_v, per=None):
 
 def test_aggregate_single_trial():
     rep = aggregate_trials([trial(0.9, 0.85, 0.8)])
-    assert rep.n == 1
-    assert rep.oa_mean == 0.9 and rep.oa_std == 0.0 and rep.oa_best == 0.9
-    assert rep.best_trial == 0
+    assert rep["n"] == 1
+    assert rep["oa"]["mean"] == 0.9 and rep["oa"]["std"] == 0.0 and rep["oa"]["best"] == 0.9
+    assert rep["best_trial"] == 0
 
 
 def test_aggregate_two_point_statistics():
     rep = aggregate_trials([trial(0.9, 0.8, 0.7), trial(1.0, 0.9, 0.8)])
-    assert abs(rep.oa_mean - 0.95) < 1e-15
-    assert abs(rep.oa_std - 0.05) < 1e-15
-    assert rep.oa_best == 1.0
-    assert rep.best_trial == 1
-    assert rep.aa_best == 0.9 and rep.kappa_best == 0.8
+    assert abs(rep["oa"]["mean"] - 0.95) < 1e-15
+    assert abs(rep["oa"]["std"] - 0.05) < 1e-15
+    assert rep["oa"]["best"] == 1.0
+    assert rep["best_trial"] == 1
+    assert rep["aa"]["best"] == 0.9 and rep["kappa"]["best"] == 0.8
 
 
 def test_aggregate_matches_two_pass_oracle():
@@ -142,16 +142,16 @@ def test_aggregate_matches_two_pass_oracle():
     oas = [t["oa"] for t in trials]
     mean = sum(oas) / 10
     std = (sum((x - mean) ** 2 for x in oas) / 10) ** 0.5
-    assert abs(rep.oa_mean - mean) < 1e-12
-    assert abs(rep.oa_std - std) < 1e-12
-    assert rep.oa_best == max(oas)
-    assert rep.oa_best >= rep.oa_mean - 3 * rep.oa_std
+    assert abs(rep["oa"]["mean"] - mean) < 1e-12
+    assert abs(rep["oa"]["std"] - std) < 1e-12
+    assert rep["oa"]["best"] == max(oas)
+    assert rep["oa"]["best"] >= rep["oa"]["mean"] - 3 * rep["oa"]["std"]
 
 
 def test_aggregate_empty_errors_and_json_schema():
     with pytest.raises(MetricError):
         aggregate_trials([])
-    doc = aggregate_trials([trial(0.9, 0.8, 0.7, [0.95, 0.85])]).to_json_dict()
+    doc = aggregate_trials([trial(0.9, 0.8, 0.7, [0.95, 0.85])])
     assert set(doc) == {"n", "oa", "aa", "kappa", "best_trial", "per_class_best"}
     for key in ("oa", "aa", "kappa"):
         assert set(doc[key]) == {"mean", "std", "best"}
