@@ -161,10 +161,10 @@ def _standardized(cube, n_components):
 
 
 def run_training(cube, label_map, config, seed: int):
-    """PCA -> standardize -> split -> patch/FFT -> fit -> test evaluation.
+    """split -> PCA -> standardize -> patch/FFT -> fit -> test evaluation.
 
-    Returns (model, history, report_dict, class_names). Every input check
-    comes before any work.
+    Returns (model, history, report_dict, class_names). Every input check,
+    the split's class sizes included, comes before any work.
     """
     from dataclasses import replace
 
@@ -185,9 +185,8 @@ def run_training(cube, label_map, config, seed: int):
     n_classes = label_map.n_classes
     class_names = list(label_map.class_names) or [f"class_{c}" for c in range(1, n_classes + 1)]
 
-    std_array = _standardized(cube, config.pca_components)
-
     train_samples, val_samples, test_samples = stratified_split(label_map, seed=seed)
+    std_array = _standardized(cube, config.pca_components)
     train_ps = build_patchset(std_array, train_samples, config.patch_size)
     val_ps = build_patchset(std_array, val_samples, config.patch_size)
 
@@ -266,6 +265,20 @@ def _run_manifest(args, seed, config, outputs, **extra):
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         **extra,
     }
+
+
+def _check_out(out, directory):
+    """Fail before any work if --out cannot take the output: the nearest
+    existing ancestor of a run directory (train, trial, synth), or the
+    parent of a map image that is no directory, must be a writable directory."""
+    path = os.path.abspath(out)
+    if not directory and os.path.isdir(path):
+        raise IsADirectoryError(f"--out {out} is a directory")
+    path = path if directory else os.path.dirname(path)
+    while directory and not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK)):
+        raise OSError(f"--out {out}: {path} is not a writable directory")
 
 
 def write_ppm(path, rgb):
@@ -423,6 +436,7 @@ def main(argv=None) -> int:
 
     handlers = {"synth": cmd_synth, "train": cmd_train, "trial": cmd_trial, "map": cmd_map}
     try:
+        _check_out(args.out, directory=args.command != "map")
         return handlers[args.command](args)
     except (ConfigError, DataError, DimensionError, IngestionError, MetricError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

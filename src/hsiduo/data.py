@@ -9,8 +9,10 @@ band 0, then band 1, ...); label maps are uint16 row-major.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
 import os
 from dataclasses import MISSING, dataclass
 
@@ -30,38 +32,92 @@ def _round_half_up(x: float) -> int:
 # domain types
 
 
+# pixels per block of a pass over a cube: a 103-band block of float64
+# pixels is 6.7 MB, against 85 MB for the float32 Pavia-scale payload
+_PCA_BLOCK_ROWS = 8192
+
+
 @dataclass(frozen=True)
 class HsiCube:
-    """H x W x B reflectance cube in arbitrary linear units.
+    """H x W x B reflectance cube in arbitrary linear units: its values
+    (synth_dataset), or the absolute path of its float32 BSQ payload and
+    its shape (load_cube), read again on each pass. Every computation on
+    a cube (PCA and what follows) runs in float64, a block at a time."""
 
-    A cube read by load_cube is held at its file precision, float32; a
-    cube built in memory (synth_dataset) is float64. Every computation on
-    a cube (PCA and what follows) runs in float64 either way.
-    """
-
-    values: Tensor
+    source: object  # a Tensor [H, W, B], or the path of a float32 BSQ payload
+    shape: tuple = ()
 
     def __post_init__(self):
-        if len(self.values.shape) != 3:
-            raise DimensionError(f"cube must be [H,W,B], got {self.values.shape}")
+        if isinstance(self.source, Tensor):
+            object.__setattr__(self, "shape", self.source.shape)
+        if len(self.shape) != 3:
+            raise DimensionError(f"cube must be [H,W,B], got {self.shape}")
         # min and max propagate NaN and an infinity is one of them, so a
-        # finite cube is checked in two passes with no cube-sized temporary
-        arr = self.values.as_array()
-        if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0))):
-            band = int(np.argmax(~np.isfinite(arr).all(axis=(0, 1))))
-            raise DataError(f"band {band} (counting from 0) of the cube holds a non-finite value")
+        # block is checked band by band with no block-sized temporary
+        finite = np.ones(self.bands, dtype=bool)
+        for _, block in self.pixel_blocks(self.block_buffer()):
+            finite &= np.isfinite(block.min(axis=1)) & np.isfinite(block.max(axis=1))
+        if not finite.all():
+            raise DataError(f"band {np.argmin(finite)} (counting from 0) of the cube holds a non-finite value")
 
     @property
     def height(self):
-        return self.values.shape[0]
+        return self.shape[0]
 
     @property
     def width(self):
-        return self.values.shape[1]
+        return self.shape[1]
 
     @property
     def bands(self):
-        return self.values.shape[2]
+        return self.shape[2]
+
+    @property
+    def values(self) -> Tensor:
+        """The whole cube; a loaded cube reads its payload, as float32."""
+        if isinstance(self.source, Tensor):
+            return self.source
+        with self._open() as fh:
+            arr = np.fromfile(fh, dtype="<f4").reshape(self.bands, -1).T.reshape(self.shape)
+        arr.flags.writeable = False  # read-only, so Tensor keeps it uncopied
+        return Tensor.from_array(arr)
+
+    def block_buffer(self) -> np.ndarray:
+        """[B, M] float64 for pixel_blocks, mapped anonymously and not taken
+        from malloc: freed, it leaves no resident heap behind and does not
+        raise glibc's mmap threshold for the cube-sized arrays after it."""
+        m = max(1, min(self.height * self.width, _PCA_BLOCK_ROWS))
+        buf = mmap.mmap(-1, max(8, 8 * self.bands * m))
+        return np.frombuffer(buf, dtype=np.float64, count=self.bands * m).reshape(-1, m)
+
+    def _open(self):
+        """The payload, opened once it is checked to still hold the cube's bytes."""
+        size, expected = os.path.getsize(self.source), 4 * math.prod(self.shape)
+        if size != expected:
+            raise IngestionError(f"payload {self.source}: expected {expected} bytes, found {size}")
+        return open(self.source, "rb", buffering=0)  # each read one system call
+
+    def pixel_blocks(self, buf: np.ndarray):
+        """One pass over the pixels in row-major order. Yields (p0, block):
+        block is a band-major [B, m] view of buf ([B, M], from block_buffer)
+        holding pixels p0 .. p0 + m - 1, m = M but in the last block. Each
+        band's part of a block of a payload is one positioned read."""
+        b, n, m = self.bands, self.height * self.width, buf.shape[1]
+        memory = isinstance(self.source, Tensor)
+        stage = np.empty(m, dtype="<f4")  # a band's part of a block, as the file holds it
+        with contextlib.nullcontext() if memory else self._open() as fh:
+            for p0 in range(0, n, m):
+                k = min(m, n - p0)
+                block = buf.reshape(-1)[: b * k].reshape(b, k)
+                if memory:
+                    block[...] = self.source.as_array().reshape(n, b)[p0 : p0 + k].T
+                else:
+                    for band in range(b):
+                        fh.seek((band * n + p0) * 4)
+                        if fh.readinto(stage[:k]) != 4 * k:
+                            raise IngestionError(f"payload {self.source}: ended inside band {band}")
+                        block[band] = stage[:k]
+                yield p0, block
 
 
 @dataclass(frozen=True)
@@ -152,21 +208,11 @@ def _payload_path(header_path: str, header: dict, expected_bytes: int) -> str:
     return payload_path
 
 
-# a read tile of load_cube holds every band of a run of rows, as many
-# bytes as about 16 whole bands: 13 MB at Pavia scale beside the 85 MB cube
-_LOAD_TILE_BANDS = 16
-
-
 def load_cube(header_path: str) -> HsiCube:
-    """Read a float32 BSQ cube declared by its JSON header.
-
-    The cube is held at its file precision: one read-only, C-ordered
-    float32 [H, W, B] array. The payload is read one tile of rows at a
-    time, all bands of it, into one reused buffer, and each tile is
-    written to its rows of the cube in one pass, so no full-size copy of
-    the file is ever held. A non-finite value raises DataError naming the
-    header and the first band that holds one.
-    """
+    """A float32 BSQ cube declared by its JSON header, as its payload's
+    path and shape. The payload's size is checked, and its values in one
+    pass: a non-finite value raises DataError naming the header and the
+    lowest band that holds one."""
     header = _read_header(header_path)
     h, w, b = (_header_field(header, header_path, k, int, meta=at_least(1))
                for k in ("height", "width", "bands"))
@@ -176,20 +222,8 @@ def load_cube(header_path: str) -> HsiCube:
     if _header_field(header, header_path, "interleave", str, "bsq") != "bsq":
         raise IngestionError(f"header {header_path}: interleave: only 'bsq' is supported")
     payload_path = _payload_path(header_path, header, h * w * b * 4)
-    values = np.empty((h, w, b), dtype=np.float32)
-    rows = max(1, h * _LOAD_TILE_BANDS // b)
-    tile = np.empty((b, min(h, rows), w), dtype=_CUBE_DTYPES[dtype])
-    with open(payload_path, "rb") as fh:
-        for r0 in range(0, h, rows):
-            part = tile[:, : min(h - r0, rows)]
-            for k in range(b):  # band k of these rows is one run of the file
-                fh.seek((k * h + r0) * w * 4)
-                if fh.readinto(part[k]) != part[k].nbytes:
-                    raise IngestionError(f"payload {payload_path}: ended inside band {k}")
-            values[r0 : r0 + part.shape[1]] = part.transpose(1, 2, 0)
-    values.flags.writeable = False  # read-only, so Tensor keeps it uncopied
     try:
-        return HsiCube(Tensor.from_array(values))
+        return HsiCube(os.path.abspath(payload_path), (h, w, b))
     except DataError as exc:
         raise DataError(f"{header_path}: {exc}") from None
 
@@ -328,43 +362,34 @@ def _sign_normalize(components: np.ndarray) -> np.ndarray:
     return out
 
 
-# pixels per row block of fit_pca: a 103-band block of centred pixels is
-# 6.7 MB, against 172 MB for the centred copy of a Pavia-scale cube
-_PCA_BLOCK_ROWS = 8192
-
-
 def fit_pca(cube: HsiCube, n_components: int):
     """Top-P eigenpairs of the pixel covariance; returns (PcaModel, reduced).
 
     The covariance is formed explicitly over all pixels (labeled and
-    unlabeled), as a sum of c^T c over row blocks of centred pixels c, and
+    unlabeled), as a sum of c c^T over blocks c of centred pixels, and
     decomposed with the Jacobi solver, so every eigenpair is directly
-    checkable against the dense eigenproblem. `reduced` is projected block
-    by block into one preallocated array, so no centred copy of the whole
-    cube is ever held.
+    checkable against the dense eigenproblem. The mean, the covariance and
+    `reduced` each take one pass of pixel blocks through one held buffer,
+    so no copy of the whole cube is ever held.
     """
     b = cube.bands
     if not (1 <= n_components <= b):
         raise ConfigError(f"pca_components: need 1 <= P <= {b}, got {n_components}")
-    pixels = cube.values.as_array().reshape(-1, b)
-    n = pixels.shape[0]
+    n = cube.height * cube.width
     if n < 2:
         raise DataError("fit_pca: need at least 2 pixels")
-    # float64 arithmetic on a float32 cube too: the float64 mean of float32
-    # values, and float64 centred blocks, are bit for bit those of the same
-    # values held as float64
-    mean = pixels.mean(axis=0, dtype=np.float64)
-    blocks = [slice(i, i + _PCA_BLOCK_ROWS) for i in range(0, n, _PCA_BLOCK_ROWS)]
-    buf = np.empty((min(n, _PCA_BLOCK_ROWS), b))  # one centred block, reused
-
-    def centered(rows):
-        block = pixels[rows]
-        return np.subtract(block, mean, out=buf[: block.shape[0]])
-
+    # row-major [n, B] arithmetic on band-major blocks: numpy's mean along axis 0
+    # is a running sum in pixel order, and c c^T is the row-major c^T c bit for bit
+    buf = cube.block_buffer()
+    total = np.zeros(b)
+    for _, block in cube.pixel_blocks(buf):
+        block[:, 0] += total
+        total[:] = np.cumsum(block, axis=1, out=block)[:, -1]
+    mean = total / n
     cov = np.zeros((b, b))
-    for rows in blocks:
-        c = centered(rows)
-        cov += c.T @ c
+    for _, c in cube.pixel_blocks(buf):
+        c -= mean[:, None]
+        cov += c @ c.T
     cov /= n - 1
     if not np.all(np.isfinite(cov)):
         raise NumericError("fit_pca: covariance is not finite")
@@ -372,8 +397,9 @@ def fit_pca(cube: HsiCube, n_components: int):
     vals = np.maximum(vals, 0.0)
     components = _sign_normalize(vecs[:, :n_components])
     reduced = np.empty((n, n_components))
-    for rows in blocks:
-        np.matmul(centered(rows), components, out=reduced[rows])
+    for p0, c in cube.pixel_blocks(buf):
+        c -= mean[:, None]
+        np.matmul(c.T, components, out=reduced[p0 : p0 + c.shape[1]])
     reduced.flags.writeable = False  # read-only, so Tensor keeps it uncopied
     model = PcaModel(mean, components, vals[:n_components])
     return model, Tensor.from_array(reduced.reshape(cube.height, cube.width, n_components))
@@ -455,10 +481,10 @@ def stratified_split(
     for cls in classes:
         coords = np.argwhere(labels == cls)  # row-major order
         n_c = coords.shape[0]
-        if n_c < 2:
-            raise DataError(f"class {cls} has {n_c} labeled pixel(s); need at least 2")
+        if n_c < 3:  # at least one pixel each for train, val and test
+            raise DataError(f"class {cls} has {n_c} labeled pixel(s); need at least 3")
         pool = min(max(2, _round_half_up(train_frac * n_c)), n_c)
-        n_val = min(max(1, _round_half_up(val_frac_of_train * pool)), pool - 1) if pool > 1 else 0
+        n_val = min(max(1, _round_half_up(val_frac_of_train * pool)), pool - 1)
         perm = rng.permutation(n_c)
         selected = coords[perm[:pool]]
         rest = coords[perm[pool:]]

@@ -2,7 +2,7 @@
 
 A Tensor is immutable after construction: its flat buffer is marked
 read-only, so values can be shared freely between threads. The data path
-(cube loading, PCA, standardization) hands its arrays around as Tensors;
+(in-memory cubes, PCA, standardization) hands its arrays around as Tensors;
 every other op works on plain numpy arrays.
 """
 

@@ -89,3 +89,34 @@ def test_benchmark_counts_prediction_in_the_traced_forward():
     )
     proc = run_from_root("-c", code)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_pca_check_reads_a_loaded_cube():
+    # map_pu's correctness check, as worker._pca_errors runs it, on the
+    # cube that load_cube streams from its payload rather than holds
+    code = (
+        "import os, sys, tempfile, time\n"
+        "sys.path[:0] = ['src', 'perfbench']\n"
+        "import numpy as np\n"
+        "import checks\n"
+        "from spans import Tracer\n"
+        "tracer = Tracer(time.monotonic)\n"
+        "tracer.install()\n"
+        "from hsiduo import data\n"
+        "from hsiduo.tensor import Tensor\n"
+        "h, w, b = 40, 30, 24\n"
+        "rng = np.random.default_rng(4)\n"
+        "vals = (rng.normal(size=(h, w, b)) * np.geomspace(2.0, 0.05, b) + 1.0).astype(np.float32)\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    path = os.path.join(tmp, 'cube.json')\n"
+        "    data.save_cube(data.HsiCube(Tensor.from_array(vals)), path)\n"
+        "    cube = data.load_cube(path)\n"
+        "    pca, reduced = data.fit_pca(cube, 16)\n"
+        "    errors = checks.check_pca(checks.read_cube(path).reshape(-1, b), pca.components,\n"
+        "                              pca.explained_variance, reduced.as_array())\n"
+        "assert not errors, errors\n"
+        "names = {span[0] for span in tracer.spans}\n"
+        "assert {'data.load', 'data.fit_pca', 'data.jacobi_eigh'} <= names, names\n"
+    )
+    proc = run_from_root("-c", code)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

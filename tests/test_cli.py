@@ -596,3 +596,150 @@ def test_non_finite_cube_exits_2_and_names_header_and_band(tmp_path, dataset, ca
                 "--out", str(tmp_path / "run")]
     assert main(args) == 2
     assert f"{header}: band 5 (counting from 0) of the cube holds a non-finite value" in capsys.readouterr().err
+
+
+def forbid_loading(monkeypatch):
+    """Make loading a cube or a checkpoint fail the test."""
+    import hsiduo.data as data
+    import hsiduo.model as model
+
+    def loaded(*args, **kwargs):
+        raise AssertionError("an input was loaded before --out was checked")
+
+    monkeypatch.setattr(data, "load_cube", loaded)
+    monkeypatch.setattr(model, "load_checkpoint", loaded)
+
+
+def test_train_out_under_a_file_exits_2_before_any_work(tmp_path, dataset, monkeypatch, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    before = sorted(os.listdir(tmp_path))
+    forbid_loading(monkeypatch)
+    out = str(afile / "run")
+    assert main(["train", "--cube", os.path.join(dataset, "cube.json"),
+                 "--labels", os.path.join(dataset, "labels.json"), "--out", out]) == 2
+    assert f"--out {out}: {afile} is not a writable directory" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before and afile.read_text() == ""
+
+
+def test_trial_out_that_is_a_file_exits_2_before_any_work(tmp_path, dataset, monkeypatch, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    before = sorted(os.listdir(tmp_path))
+    forbid_loading(monkeypatch)
+    assert main(["trial", "--cube", os.path.join(dataset, "cube.json"), "--labels",
+                 os.path.join(dataset, "labels.json"), "--repeats", "2", "--out", str(afile)]) == 2
+    assert f"--out {afile}: {afile} is not a writable directory" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before and afile.read_text() == ""
+
+
+@pytest.mark.parametrize("where", ["directory", "no_parent"])
+def test_map_out_that_cannot_be_written_exits_2_before_any_work(tmp_path, dataset, monkeypatch, capsys, where):
+    ckpt = untrained_checkpoint(tmp_path)
+    out = tmp_path / "maps"
+    if where == "directory":
+        out.mkdir()
+        message = f"--out {out} is a directory"
+    else:
+        out = out / "m.ppm"
+        message = f"--out {out}: {out.parent} is not a writable directory"
+    before = sorted(os.listdir(tmp_path))
+    forbid_loading(monkeypatch)
+    assert main(["map", "--cube", os.path.join(dataset, "cube.json"), "--labels",
+                 os.path.join(dataset, "labels.json"), "--checkpoint", ckpt, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_class_with_two_pixels_exits_2_before_pca(tmp_path, monkeypatch, capsys):
+    import time
+
+    import hsiduo.data as data
+
+    cube, label_map = data.synth_dataset(3, 32, 32, 16, 0.1, 0)
+    labels = label_map.labels.copy()
+    keep = np.argwhere(labels == 3)[:2]
+    labels[labels == 3] = 0
+    labels[keep[:, 0], keep[:, 1]] = 3
+    data.save_cube(cube, str(tmp_path / "cube.json"))
+    data.save_labels(data.LabelMap(labels), str(tmp_path / "labels.json"))
+
+    def fit_pca(*args, **kwargs):
+        raise AssertionError("PCA ran before the split rejected class 3")
+
+    monkeypatch.setattr(data, "fit_pca", fit_pca)
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    assert main(["train", "--cube", str(tmp_path / "cube.json"), "--labels", str(tmp_path / "labels.json"),
+                 "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "class 3 has 2 labeled pixel(s); need at least 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [100, 8192 + 4])
+def test_map_exits_2_when_the_payload_changes_after_load(tmp_path, dataset, monkeypatch, capsys, size):
+    import hsiduo.data as data
+
+    load, raw = data.load_cube, os.path.join(dataset, "cube.raw")
+
+    def load_then_resize(path):
+        cube = load(path)
+        with open(raw, "r+b") as fh:
+            fh.truncate(size)  # truncated, or replaced by a payload one value longer
+        return cube
+
+    monkeypatch.setattr(data, "load_cube", load_then_resize)
+    out = tmp_path / "m.ppm"
+    assert main(["map", "--cube", os.path.join(dataset, "cube.json"), "--labels",
+                 os.path.join(dataset, "labels.json"), "--checkpoint", untrained_checkpoint(tmp_path),
+                 "--out", str(out)]) == 2
+    assert f"payload {raw}: expected 8192 bytes, found {size}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM in /proc/self/status")
+def test_map_does_not_hold_the_cube(tmp_path):
+    """map's peak resident set, read by the process itself, rises by what
+    the reduced cube needs and less than half the payload besides: the
+    cube is read in pixel blocks and never held."""
+    import subprocess
+    import sys
+
+    from hsiduo.data import HsiCube, LabelMap, save_cube, save_labels
+    from hsiduo.model import DualStreamModel, ModelConfig, save_checkpoint
+    from hsiduo.tensor import Tensor
+
+    h, w, b = 256, 256, 103
+    rng = np.random.default_rng(0)
+    save_cube(HsiCube(Tensor.from_array(rng.normal(size=(h, w, b)).astype(np.float32))), str(tmp_path / "cube.json"))
+    labels = np.zeros((h, w), dtype=int)
+    labels.reshape(-1)[rng.choice(h * w, 48, replace=False)] = 1 + np.arange(48) % 3
+    save_labels(LabelMap(labels), str(tmp_path / "labels.json"))
+    config = ModelConfig()
+    save_checkpoint(DualStreamModel.build(config, 3, rng=rng), str(tmp_path / "checkpoint.json"))
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, 'src')\n"
+        "from hsiduo import cli, data, layers, model, spectral, train\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith('VmHWM:'))\n"
+        "start = peak()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, peak() - start)\n"
+    )
+    args = ["map", "--cube", str(tmp_path / "cube.json"), "--labels", str(tmp_path / "labels.json"),
+            "--checkpoint", str(tmp_path / "checkpoint.json"), "--out", str(tmp_path / "map.ppm"), "--threads", "1"]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    code, rise = map(int, proc.stdout.split())
+    assert code == 0
+    # standardize holds the reduced cube, its standardized copy and one
+    # temporary of that size: 3 x 8 MiB here, against a 25.75 MiB payload
+    reduced = h * w * config.pca_components * 8
+    payload = os.path.getsize(tmp_path / "cube.raw")
+    assert rise - 3 * reduced < payload / 2, (rise, reduced, payload)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import sys
 import warnings
 
@@ -48,20 +49,87 @@ def test_cube_roundtrip_bitwise(tmp_path):
     assert (back.height, back.width, back.bands) == (4, 5, 6)
 
 
-def test_load_cube_converts_in_one_pass(tmp_path):
+def test_load_cube_converts_in_one_pass(tmp_path, monkeypatch):
     from test_tensor import traced_peak
 
     rng = np.random.default_rng(1)
     vals = rng.normal(size=(64, 48, 103)).astype(np.float32).astype(np.float64)
     path = str(tmp_path / "cube.json")
     save_cube(HsiCube(Tensor.from_array(vals)), path)
+    block = 1000  # 3,072 pixels: three full blocks and a ragged fourth
+    monkeypatch.setattr(data, "_PCA_BLOCK_ROWS", block)
     cube, peak = traced_peak(load_cube, path)
     arr = cube.values.as_array()
     assert arr.dtype == np.float32 and np.array_equal(arr, vals)
     assert arr.flags.c_contiguous and not arr.flags.writeable
-    # the float32 cube (half the float64 bytes) plus one read tile of about
-    # 16 of its 103 bands, with no copy of the payload
-    assert peak < 0.6 * vals.nbytes
+    # the float64 pixel block is an anonymous mapping, outside tracemalloc's
+    # count; what is left is one float32 staging run and the header, a
+    # bound set by the block whatever the cube's size
+    assert peak < block * 4 + 64 * 1024
+
+
+def _row_major_pca(pixels, n_components, block=8192):
+    """fit_pca's arithmetic on row-major [n, B] pixels, as it was before
+    fit_pca read band-major pixel blocks: numpy's mean along axis 0,
+    c^T c over row blocks and one projection per row block."""
+    n, b = pixels.shape
+    mean = pixels.mean(axis=0, dtype=np.float64)
+    buf = np.empty((min(n, block), b))
+    blocks = [slice(i, i + block) for i in range(0, n, block)]
+
+    def centered(rows):
+        part = pixels[rows]
+        return np.subtract(part, mean, out=buf[: part.shape[0]])
+
+    cov = np.zeros((b, b))
+    for rows in blocks:
+        c = centered(rows)
+        cov += c.T @ c
+    cov /= n - 1
+    vals, vecs = jacobi_eigh(cov)
+    components = data._sign_normalize(vecs[:, :n_components])
+    reduced = np.empty((n, n_components))
+    for rows in blocks:
+        np.matmul(centered(rows), components, out=reduced[rows])
+    return mean, components, np.maximum(vals, 0.0)[:n_components], reduced
+
+
+@pytest.mark.parametrize("shape", [(97, 171, 20), (89, 97, 103), "synth", "float64"])
+def test_fit_pca_is_bitwise_the_row_major_arithmetic(tmp_path, shape):
+    # 16,587 and 8,633 pixels: full blocks and a ragged last one. Magnitudes
+    # spread over eight decades, so that a band's float64 sum rounds and
+    # the order of the mean's additions shows in its bits
+    rng = np.random.default_rng(7)
+    if shape == "synth":
+        cube = synth_dataset(4, 40, 36, 24, 0.1, 2)[0]
+    elif shape == "float64":
+        cube = HsiCube(Tensor.from_array(rng.normal(size=(91, 93, 12)) * 10.0 ** rng.uniform(-6, 2, (91, 93, 12))))
+    else:
+        vals = (rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, shape)).astype(np.float32)
+        save_cube(HsiCube(Tensor.from_array(vals)), str(tmp_path / "cube.json"))
+        cube = load_cube(str(tmp_path / "cube.json"))
+    pixels = cube.values.as_array().reshape(-1, cube.bands)
+    pca, reduced = fit_pca(cube, 8)
+    mean, components, variance, ref = _row_major_pca(pixels, 8)
+    assert np.array_equal(pca.mean, mean)
+    assert np.array_equal(pca.components, components)
+    assert np.array_equal(pca.explained_variance, variance)
+    assert np.array_equal(reduced.as_array().reshape(ref.shape), ref)
+
+
+def test_fit_pca_on_a_loaded_cube_holds_no_cube_sized_array(tmp_path, monkeypatch):
+    from test_tensor import traced_peak
+
+    h, w, b = 64, 48, 103
+    vals = np.random.default_rng(2).normal(size=(h, w, b)).astype(np.float32)
+    save_cube(HsiCube(Tensor.from_array(vals)), str(tmp_path / "cube.json"))
+    block = 1000
+    monkeypatch.setattr(data, "_PCA_BLOCK_ROWS", block)
+    cube = load_cube(str(tmp_path / "cube.json"))
+    (pca, reduced), peak = traced_peak(fit_pca, cube, 16)
+    # reduced plus two float64 blocks, under the float64 cube's 2.5 MB (the
+    # held block buffer itself is mapped outside tracemalloc's count)
+    assert peak < reduced.data.nbytes + 2 * block * b * 8 < h * w * b * 8
 
 
 def test_loaded_cube_pca_is_bitwise_the_float64_pca(tmp_path):
@@ -95,15 +163,40 @@ def test_in_memory_cube_names_its_first_non_finite_band():
         HsiCube(Tensor.from_array(vals))
 
 
+def test_loaded_cube_names_the_lowest_non_finite_band_of_any_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_PCA_BLOCK_ROWS", 64)
+    path = str(tmp_path / "cube.json")
+    save_cube(HsiCube(Tensor.from_array(np.ones((20, 10, 8)))), path)
+    payload = np.fromfile(str(tmp_path / "cube.raw"), dtype="<f4").reshape(8, 200)
+    payload[5, 3] = np.nan  # pixel 3, in the first block
+    payload[2, 152] = np.nan  # pixel 152, in the third
+    payload.tofile(str(tmp_path / "cube.raw"))
+    with pytest.raises(DataError, match=r"cube.json: band 2 \(counting from 0\)"):
+        load_cube(path)
+
+
+@pytest.mark.parametrize("size", [4 * 6 * 5 * 7 - 4, 4 * 6 * 5 * 7 + 8])
+def test_fit_pca_rechecks_a_payload_changed_after_load(tmp_path, size):
+    save_cube(HsiCube(Tensor.from_array(np.arange(210.0).reshape(6, 5, 7))), str(tmp_path / "cube.json"))
+    cube = load_cube(str(tmp_path / "cube.json"))
+    raw = str(tmp_path / "cube.raw")
+    with open(raw, "r+b") as fh:
+        fh.truncate(size)  # truncated, or grown with zeros
+    with pytest.raises(IngestionError, match=re.escape(f"payload {raw}: expected 840 bytes, found {size}")):
+        fit_pca(cube, 3)
+
+
 def test_loaders_close_their_files(tmp_path, monkeypatch):
-    save_cube(HsiCube(Tensor.from_array(np.ones((2, 3, 4)))), str(tmp_path / "cube.json"))
+    save_cube(HsiCube(Tensor.from_array(np.arange(24.0).reshape(2, 3, 4))), str(tmp_path / "cube.json"))
     save_labels(LabelMap(np.ones((2, 3), dtype=int)), str(tmp_path / "labels.json"))
     unraised = []
     monkeypatch.setattr(sys, "unraisablehook", unraised.append)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)  # raised when a file is freed open
-        load_cube(str(tmp_path / "cube.json"))
+        cube = load_cube(str(tmp_path / "cube.json"))
         load_labels(str(tmp_path / "labels.json"))
+        fit_pca(cube, 2)
+        cube.values
     assert not unraised
 
 
