@@ -44,6 +44,14 @@ def class_color(cls: int):
     return PALETTE[1 + (cls - 1) % 15]
 
 
+def class_colors(labels):
+    """class_color of every entry of an integer array, as uint8 [..., 3]:
+    one index into the palette, not a call per pixel."""
+    import numpy as np
+
+    return np.array(PALETTE, dtype=np.uint8)[np.where(labels > 0, 1 + (labels - 1) % 15, 0)]
+
+
 def _setup_threads(argv):
     """Pin BLAS/OpenMP pools before numpy is imported anywhere; returns an
     error message, and sets nothing, if the count is not an integer >= 1.
@@ -128,8 +136,12 @@ def build_patchset(std_array, samples, patch_size):
     return PatchSet(*stacks, np.asarray(samples.labels, dtype=np.int32))
 
 
-def predict_samples(model, std_array, rows, cols, patch_size, chunk=256):
-    """Streamed prediction; returns 1-based class labels."""
+def predict_samples(model, std_array, rows, cols, patch_size, chunk=64):
+    """Streamed prediction; returns 1-based class labels. The conv
+    kernels run a batch a few samples at a time (25 at the first layer,
+    14 at the second, at the default shapes), so a batch of 64 keeps them
+    as busy as a larger one and holds a quarter of batch 256's patch
+    stacks and activations."""
     import numpy as np
 
     out = np.zeros(rows.shape[0], dtype=np.int32)
@@ -400,7 +412,7 @@ def cmd_map(args) -> int:
         rows, cols = coords[:, 0], coords[:, 1]
     if rows.size:
         pred = predict_samples(model, std_array, rows, cols, config.patch_size)
-        rgb[rows, cols] = np.array([class_color(int(c)) for c in pred], dtype=np.uint8)
+        rgb[rows, cols] = class_colors(pred)
     write_ppm(args.out, rgb)
     return 0
 

@@ -420,13 +420,33 @@ def standardize(reduced: Tensor) -> Tensor:
     Frobenius norm, not at exact zero: PCA of a rank-deficient cube leaves
     its null bands holding roundoff rather than exact zeros, and scaling
     that roundoff to unit variance would feed pure noise to the model.
+
+    The std is np.std's own arithmetic on the centred values, but the
+    squares are taken a block of pixels at a time in one held scratch
+    block, so the working set is the reduced cube, its standardized copy
+    and one block.
     """
     if len(reduced.shape) != 3:
         raise DimensionError(f"standardize expects [H,W,P], got {reduced.shape}")
     arr = reduced.as_array()
     out = arr - arr.mean(axis=(0, 1))
-    # np.std's own arithmetic on the centred values it would compute again
-    std = np.sqrt(np.square(out).sum(axis=(0, 1)) / (arr.shape[0] * arr.shape[1]))
+    flat = out.reshape(-1, out.shape[2])
+    n, p = flat.shape
+    if p == 1:  # numpy sums a lone band pairwise, not pixel by pixel; its square is one band
+        sumsq = np.square(flat).sum(axis=0)
+    else:
+        # numpy's sum along axis 0 of [n, P] is a running sum in pixel
+        # order: carrying the running total into each block's first row
+        # continues it bit for bit
+        m = max(1, min(n, _PCA_BLOCK_ROWS))
+        scratch = np.empty((m, p))
+        sumsq = np.zeros(p)
+        for p0 in range(0, n, m):
+            block = flat[p0 : p0 + m]
+            sq = np.square(block, out=scratch[: block.shape[0]])
+            sq[0] += sumsq
+            sq.sum(axis=0, out=sumsq)
+    std = np.sqrt(sumsq / n)
     out /= np.where(std > _DEGENERATE_STD_RATIO * std.max(initial=0.0), std, 1.0)
     out.flags.writeable = False  # Tensor keeps a read-only array without a copy
     return Tensor.from_array(out)

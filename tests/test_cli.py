@@ -698,14 +698,73 @@ def test_map_exits_2_when_the_payload_changes_after_load(tmp_path, dataset, monk
     assert not out.exists()
 
 
+def test_prediction_does_not_depend_on_the_batch():
+    # the desk scene's 963 test pixels: batches of 7, 64 and 256 leave a
+    # ragged last batch, and the untrained model predicts all three classes
+    from hsiduo import cli
+    from hsiduo.data import stratified_split, synth_dataset
+    from hsiduo.model import DualStreamModel, ModelConfig
+
+    cube, label_map = synth_dataset(3, 32, 32, 16, 0.1, 0)
+    config = ModelConfig()
+    _, _, test = stratified_split(label_map, seed=0)
+    assert len(test) == 963
+    std = cli._standardized(cube, config.pca_components)
+    net = DualStreamModel.build(config, 3, rng=np.random.default_rng(np.random.SeedSequence([0, 0x1D17])))
+    ref = cli.predict_samples(net, std, test.rows, test.cols, config.patch_size)
+    assert np.unique(ref).size == 3
+    for chunk in (1, 7, 256, 1000):
+        pred = cli.predict_samples(net, std, test.rows, test.cols, config.patch_size, chunk=chunk)
+        assert np.array_equal(pred, ref), chunk
+
+    stacks = cli._patch_stacks(std, test.rows, test.cols, config.patch_size)
+
+    def probs(batch):
+        return np.concatenate([net.forward_batch(*(x[lo : lo + batch] for x in stacks), cache=False)[0]
+                               for lo in range(0, len(test), batch)])
+
+    assert np.array_equal(probs(64), probs(256))
+
+
+def test_class_colors_is_class_color_per_label():
+    from hsiduo.cli import class_color, class_colors
+
+    labels = np.arange(-2, 40).reshape(6, 7)
+    colors = class_colors(labels)
+    assert colors.dtype == np.uint8 and colors.shape == (6, 7, 3)
+    assert [tuple(c) for c in colors.reshape(-1, 3).tolist()] == [class_color(int(c)) for c in labels.reshape(-1)]
+
+
+# a child interpreter's start: hsiduo from src, and peak() its VmHWM in bytes
+_PEAK_PRELUDE = (
+    "import sys\n"
+    "sys.path.insert(0, 'src')\n"
+    "from hsiduo import cli, data, layers, model, spectral, train\n"
+    "def peak():\n"
+    "    with open('/proc/self/status') as fh:\n"
+    "        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith('VmHWM:'))\n"
+)
+
+
+def run_measured(script, args):
+    """Run _PEAK_PRELUDE then script in a fresh interpreter with one BLAS
+    thread and args as its sys.argv[1:]; returns the integers it prints."""
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _PEAK_PRELUDE + script, *args, "--threads", "1"], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return [int(x) for x in proc.stdout.split()]
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM in /proc/self/status")
 def test_map_does_not_hold_the_cube(tmp_path):
     """map's peak resident set, read by the process itself, rises by what
     the reduced cube needs and less than half the payload besides: the
     cube is read in pixel blocks and never held."""
-    import subprocess
-    import sys
-
     from hsiduo.data import HsiCube, LabelMap, save_cube, save_labels
     from hsiduo.model import DualStreamModel, ModelConfig, save_checkpoint
     from hsiduo.tensor import Tensor
@@ -718,28 +777,37 @@ def test_map_does_not_hold_the_cube(tmp_path):
     save_labels(LabelMap(labels), str(tmp_path / "labels.json"))
     config = ModelConfig()
     save_checkpoint(DualStreamModel.build(config, 3, rng=rng), str(tmp_path / "checkpoint.json"))
-    code = (
-        "import sys\n"
-        "sys.path.insert(0, 'src')\n"
-        "from hsiduo import cli, data, layers, model, spectral, train\n"
-        "def peak():\n"
-        "    with open('/proc/self/status') as fh:\n"
-        "        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith('VmHWM:'))\n"
-        "start = peak()\n"
-        "code = cli.main(sys.argv[1:])\n"
-        "print(code, peak() - start)\n"
-    )
-    args = ["map", "--cube", str(tmp_path / "cube.json"), "--labels", str(tmp_path / "labels.json"),
-            "--checkpoint", str(tmp_path / "checkpoint.json"), "--out", str(tmp_path / "map.ppm"), "--threads", "1"]
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=root, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    code, rise = map(int, proc.stdout.split())
+    script = "start = peak()\ncode = cli.main(sys.argv[1:])\nprint(code, peak() - start)\n"
+    code, rise = run_measured(script, ["map", "--cube", str(tmp_path / "cube.json"), "--labels",
+                                     str(tmp_path / "labels.json"), "--checkpoint",
+                                     str(tmp_path / "checkpoint.json"), "--out", str(tmp_path / "map.ppm")])
     assert code == 0
-    # standardize holds the reduced cube, its standardized copy and one
-    # temporary of that size: 3 x 8 MiB here, against a 25.75 MiB payload
+    # standardize holds the reduced cube and its standardized copy, and
+    # squares one block at a time: 2 x 8 MiB here, against a 25.75 MiB payload
     reduced = h * w * config.pca_components * 8
     payload = os.path.getsize(tmp_path / "cube.raw")
-    assert rise - 3 * reduced < payload / 2, (rise, reduced, payload)
+    assert rise - 2 * reduced < payload / 2, (rise, reduced, payload)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM in /proc/self/status")
+def test_train_prediction_does_not_set_the_peak(tmp_path):
+    """On the desk scene, train's peak resident set is set by the time
+    train.fit returns: predicting the 963 test pixels afterwards, in
+    batches of 64, raises it by less than 3 MiB."""
+    assert main(["synth", "--out", str(tmp_path / "desk")]) == 0
+    script = (
+        "fit = train.fit\n"
+        "def measured_fit(*args, **kwargs):\n"
+        "    global after_fit\n"
+        "    out = fit(*args, **kwargs)\n"
+        "    after_fit = peak()\n"
+        "    return out\n"
+        "train.fit = measured_fit\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, peak() - after_fit)\n"
+    )
+    code, rise = run_measured(script, ["train", "--cube", str(tmp_path / "desk" / "cube.json"), "--labels",
+                                     str(tmp_path / "desk" / "labels.json"), "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert json.load(open(tmp_path / "run" / "report.json"))["n_test"] == 963
+    assert rise < 3 * 1024 * 1024, rise
