@@ -38,10 +38,14 @@ PALETTE = (
 )
 
 
+def _palette_index(labels):
+    """PALETTE index of a label, or of every entry of an integer array:
+    0 for unlabelled (<= 0), else the 15 class colours in turn."""
+    return (labels > 0) * (1 + (labels - 1) % 15)
+
+
 def class_color(cls: int):
-    if cls <= 0:
-        return PALETTE[0]
-    return PALETTE[1 + (cls - 1) % 15]
+    return PALETTE[_palette_index(cls)]
 
 
 def class_colors(labels):
@@ -49,7 +53,7 @@ def class_colors(labels):
     one index into the palette, not a call per pixel."""
     import numpy as np
 
-    return np.array(PALETTE, dtype=np.uint8)[np.where(labels > 0, 1 + (labels - 1) % 15, 0)]
+    return np.array(PALETTE, dtype=np.uint8)[_palette_index(labels)]
 
 
 def _setup_threads(argv):
@@ -139,9 +143,9 @@ def build_patchset(std_array, samples, patch_size):
 def predict_samples(model, std_array, rows, cols, patch_size, chunk=64):
     """Streamed prediction; returns 1-based class labels. The conv
     kernels run a batch a few samples at a time (25 at the first layer,
-    14 at the second, at the default shapes), so a batch of 64 keeps them
-    as busy as a larger one and holds a quarter of batch 256's patch
-    stacks and activations."""
+    14 at the second, at the default shapes), so a batch of 64 holds a
+    quarter of batch 256's patch stacks and activations at about the
+    same speed (see README)."""
     import numpy as np
 
     out = np.zeros(rows.shape[0], dtype=np.int32)

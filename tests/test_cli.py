@@ -727,8 +727,10 @@ def test_prediction_does_not_depend_on_the_batch():
 
 
 def test_class_colors_is_class_color_per_label():
-    from hsiduo.cli import class_color, class_colors
+    from hsiduo.cli import PALETTE, class_color, class_colors
 
+    # unlabelled is PALETTE[0]; classes 1-15 take the rest, then repeat
+    assert [class_color(c) for c in (-2, 0, 1, 15, 16, 31)] == [PALETTE[i] for i in (0, 0, 1, 15, 1, 1)]
     labels = np.arange(-2, 40).reshape(6, 7)
     colors = class_colors(labels)
     assert colors.dtype == np.uint8 and colors.shape == (6, 7, 3)
