@@ -210,6 +210,8 @@ def run_training(cube, label_map, config, seed: int):
         config, n_classes, rng=np.random.default_rng(np.random.SeedSequence([seed, 0x1D17]))
     )
     model, history = fit(model, train_ps, val_ps, train_cfg)
+    # the weights the checkpoint stores, so the report is what `map` of it predicts
+    model.flat[...] = model.flat.astype(np.float32)
 
     pred = predict_samples(model, std_array, test_samples.rows, test_samples.cols, config.patch_size)
     cm = metrics.ConfusionMatrix.from_predictions(test_samples.labels, pred, n_classes)
@@ -441,25 +443,18 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
 
-    from .errors import (
-        ConfigError,
-        DataError,
-        DimensionError,
-        IngestionError,
-        MetricError,
-        NumericError,
-    )
+    from .errors import HsiduoError, NumericError
 
     handlers = {"synth": cmd_synth, "train": cmd_train, "trial": cmd_trial, "map": cmd_map}
     try:
         _check_out(args.out, directory=args.command != "map")
         return handlers[args.command](args)
-    except (ConfigError, DataError, DimensionError, IngestionError, MetricError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except (HsiduoError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -92,9 +92,7 @@ class HsiCube:
 
     def _open(self):
         """The payload, opened once it is checked to still hold the cube's bytes."""
-        size, expected = os.path.getsize(self.source), 4 * math.prod(self.shape)
-        if size != expected:
-            raise IngestionError(f"payload {self.source}: expected {expected} bytes, found {size}")
+        _check_payload_size(self.source, 4 * math.prod(self.shape))
         return open(self.source, "rb", buffering=0)  # each read one system call
 
     def pixel_blocks(self, buf: np.ndarray):
@@ -195,6 +193,12 @@ def _header_field(header: dict, header_path: str, key: str, kind, default=MISSIN
     return schema.read(header.get(key, default), kind, f"header {header_path}: {key}", IngestionError, meta)
 
 
+def _check_payload_size(payload_path: str, expected_bytes: int):
+    size = os.path.getsize(payload_path)
+    if size != expected_bytes:
+        raise IngestionError(f"payload {payload_path}: expected {expected_bytes} bytes, found {size}")
+
+
 def _payload_path(header_path: str, header: dict, expected_bytes: int) -> str:
     """The payload file the header names, checked to hold exactly
     expected_bytes before anything is read."""
@@ -202,9 +206,7 @@ def _payload_path(header_path: str, header: dict, expected_bytes: int) -> str:
     payload_path = os.path.join(os.path.dirname(header_path), data_name)
     if not os.path.exists(payload_path):
         raise IngestionError(f"payload not found: {payload_path}")
-    size = os.path.getsize(payload_path)
-    if size != expected_bytes:
-        raise IngestionError(f"payload {payload_path}: expected {expected_bytes} bytes, found {size}")
+    _check_payload_size(payload_path, expected_bytes)
     return payload_path
 
 
@@ -354,12 +356,8 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 64):
 
 def _sign_normalize(components: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
-    out = components.copy()
-    for j in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        if out[k, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+    top = components[np.argmax(np.abs(components), axis=0), np.arange(components.shape[1])]
+    return np.where(top < 0, -components, components)
 
 
 def fit_pca(cube: HsiCube, n_components: int):
@@ -448,24 +446,21 @@ def standardize(reduced: Tensor) -> Tensor:
 
 def extract_patches_array(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray, patch_size: int):
     """Batched zero-padded window copy: [N, S, S, P], each S x S window
-    with its target pixel at (S/2, S/2)."""
+    with its target pixel at (S/2, S/2). One gather at coordinates clipped
+    into the scene, then the window positions outside it are zeroed, so
+    the scene is never padded or copied."""
     if arr.ndim != 3:
         raise DimensionError(f"patch extraction expects [H,W,P], got {arr.shape}")
-    h, w, p = arr.shape
+    h, w = arr.shape[:2]
     if rows.size and not (0 <= rows.min() and rows.max() < h and 0 <= cols.min() and cols.max() < w):
         raise DimensionError(f"patch centres out of bounds for {h}x{w}")
     if patch_size < 2 or (patch_size & (patch_size - 1)) != 0:
         raise DimensionError(f"patch_size must be an even power of two, got {patch_size}")
-    half = patch_size // 2
-    n = rows.shape[0]
-    out = np.zeros((n, patch_size, patch_size, p), dtype=arr.dtype)
-    for i in range(n):
-        r0 = int(rows[i]) - half
-        c0 = int(cols[i]) - half
-        rs, re = max(r0, 0), min(r0 + patch_size, h)
-        cs, ce = max(c0, 0), min(c0 + patch_size, w)
-        if rs < re and cs < ce:
-            out[i, rs - r0 : re - r0, cs - c0 : ce - c0, :] = arr[rs:re, cs:ce, :]
+    offsets = np.arange(patch_size) - patch_size // 2
+    r = np.asarray(rows, dtype=np.intp)[:, None] + offsets  # [N, S] window rows
+    c = np.asarray(cols, dtype=np.intp)[:, None] + offsets
+    out = arr[np.clip(r, 0, h - 1)[:, :, None], np.clip(c, 0, w - 1)[:, None, :]]
+    out[((r < 0) | (r >= h))[:, :, None] | ((c < 0) | (c >= w))[:, None, :]] = 0
     return out
 
 
@@ -555,29 +550,12 @@ def _guillotine_blocks(n_classes: int, r0: int, r1: int, c0: int, c1: int, out: 
 
 
 def _foreign_context_counts(labels: np.ndarray, window: int) -> np.ndarray:
-    """Per pixel: how many positions of its patch window belong to another
-    class (zero padding does not count)."""
-    h, w = labels.shape
+    """Per pixel: how many positions of its patch window [p - half,
+    p + half - 1] belong to another class (zero padding does not count)."""
     half = window // 2
-    counts = np.zeros((h, w), dtype=np.int64)
-    # integral image per class over the asymmetric window [p-half, p+half-1]
-    for cls in np.unique(labels):
-        mask = (labels == cls).astype(np.int64)
-        integral = np.zeros((h + 1, w + 1), dtype=np.int64)
-        integral[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
-        rs = np.clip(np.arange(h) - half, 0, h)
-        re = np.clip(np.arange(h) + half, 0, h)
-        cs = np.clip(np.arange(w) - half, 0, w)
-        ce = np.clip(np.arange(w) + half, 0, w)
-        window_sum = (
-            integral[re[:, None], ce[None, :]]
-            - integral[rs[:, None], ce[None, :]]
-            - integral[re[:, None], cs[None, :]]
-            + integral[rs[:, None], cs[None, :]]
-        )
-        in_window = (re - rs)[:, None] * (ce - cs)[None, :]
-        counts[labels == cls] = (in_window - window_sum)[labels == cls]
-    return counts
+    padded = np.pad(labels, (half, half - 1), constant_values=-1)
+    win = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
+    return (win >= 0).sum(axis=(2, 3)) - (win == labels[:, :, None, None]).sum(axis=(2, 3))
 
 
 def synth_dataset(n_classes: int, height: int, width: int, bands: int, noise_std: float, seed: int):

@@ -271,8 +271,6 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Pre-scaled keep mask; multiplying by it applies inverted dropout."""
-    if rate == 0.0:
-        return np.ones(shape)
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 

@@ -15,7 +15,7 @@ real and complex streams.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -52,15 +52,7 @@ class FftPlan:
         return self.tw_re[idx], self.tw_im[idx]
 
 
-_PLANS: dict = {}
-
-
-def get_plan(n: int) -> FftPlan:
-    plan = _PLANS.get(n)
-    if plan is None:
-        plan = FftPlan(n)
-        _PLANS[n] = plan
-    return plan
+get_plan = cache(FftPlan)  # one plan per length
 
 
 def _complex_matmul(re, im, f_re, f_im):

@@ -219,9 +219,6 @@ class PatchSet:
         out[np.arange(len(self)), self.labels - 1] = 1.0
         return out
 
-    def subset(self, idx) -> "PatchSet":
-        return PatchSet(self.xr[idx], self.xc_re[idx], self.xc_im[idx], self.labels[idx])
-
 
 def evaluate_loss_accuracy(model, data: PatchSet, batch_size: int = 256):
     """(mean loss, accuracy) of a model over a patch set, eval mode."""

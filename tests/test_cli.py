@@ -304,6 +304,30 @@ def test_map_header_and_all_background(tmp_path, dataset):
     assert not np.any(np.all(pixels == 0, axis=1))
 
 
+def test_report_is_what_map_of_the_checkpoint_predicts(tmp_path, dataset, monkeypatch):
+    # train's test-set prediction, the one its report counts, runs on the
+    # float32 weights the checkpoint stores, so map paints the same classes
+    from hsiduo import cli
+
+    seen = []
+    real_predict = cli.predict_samples
+
+    def recording_predict(model, std_array, rows, cols, patch_size, chunk=64):
+        pred = real_predict(model, std_array, rows, cols, patch_size, chunk)
+        seen.append((rows.copy(), cols.copy(), pred.copy()))
+        return pred
+
+    monkeypatch.setattr(cli, "predict_samples", recording_predict)
+    scene = ["--cube", os.path.join(dataset, "cube.json"), "--labels", os.path.join(dataset, "labels.json")]
+    run = tmp_path / "run"
+    assert main(["train", *scene, "--config", write_config(tmp_path, small_config_doc()), "--out", str(run)]) == 0
+    (rows, cols, pred), = seen
+    ppm = tmp_path / "map.ppm"
+    assert main(["map", *scene, "--checkpoint", str(run / "checkpoint.json"), "--out", str(ppm)]) == 0
+    rgb = np.frombuffer(read(ppm)[len(b"P6\n16 16\n255\n"):], dtype=np.uint8).reshape(16, 16, 3)
+    assert np.array_equal(rgb[rows, cols], cli.class_colors(pred))
+
+
 def test_map_checkpoint_config_mismatch_exits_2(tmp_path, dataset, capsys):
     config = write_config(tmp_path, small_config_doc())
     run = str(tmp_path / "run")

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsiduo import data
 from hsiduo.data import (
@@ -92,6 +94,30 @@ def _row_major_pca(pixels, n_components, block=8192):
     for rows in blocks:
         np.matmul(centered(rows), components, out=reduced[rows])
     return mean, components, np.maximum(vals, 0.0)[:n_components], reduced
+
+
+
+def sign_normalize_loop(components):
+    """The column loop that _sign_normalize replaced."""
+    out = components.copy()
+    for j in range(out.shape[1]):
+        k = int(np.argmax(np.abs(out[:, j])))
+        if out[k, j] < 0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(b=st.integers(1, 12), p=st.integers(1, 12), ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_sign_normalize_is_bitwise_the_column_loop(b, p, ties, seed):
+    rng = np.random.default_rng(seed)
+    # small integers give tied magnitudes, zero columns and -0.0 entries
+    if ties:
+        m = rng.integers(-2, 3, size=(b, p)).astype(np.float64)
+        m[m == 0] = np.where(rng.random(int((m == 0).sum())) < 0.5, -0.0, 0.0)
+    else:
+        m = rng.normal(size=(b, p))
+    assert data._sign_normalize(m).tobytes() == sign_normalize_loop(m).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(97, 171, 20), (89, 97, 103), "synth", "float64"])
@@ -523,6 +549,38 @@ def test_extract_patch_validation():
         extract_patch(np.zeros((4, 4)), 0, 0, 4)
 
 
+
+def extract_patches_loop(arr, rows, cols, patch_size):
+    """The per-pixel window copy that extract_patches_array replaced."""
+    h, w, p = arr.shape
+    half = patch_size // 2
+    out = np.zeros((rows.shape[0], patch_size, patch_size, p), dtype=arr.dtype)
+    for i in range(rows.shape[0]):
+        r0, c0 = int(rows[i]) - half, int(cols[i]) - half
+        rs, re = max(r0, 0), min(r0 + patch_size, h)
+        cs, ce = max(c0, 0), min(c0 + patch_size, w)
+        if rs < re and cs < ce:
+            out[i, rs - r0 : re - r0, cs - c0 : ce - c0, :] = arr[rs:re, cs:ce, :]
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(h=st.integers(1, 40), w=st.integers(1, 40), p=st.integers(1, 4),
+       patch_size=st.sampled_from([2, 4, 8, 16]), n=st.integers(0, 30),
+       coord_dtype=st.sampled_from([np.int32, np.int64]),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+def test_extract_patches_is_bitwise_the_per_pixel_loop(h, w, p, patch_size, n, coord_dtype, dtype, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(h, w, p)).astype(dtype)
+    vals[rng.random(vals.shape) < 0.2] = -0.0  # a padded zero must not copy a -0.0
+    rows = rng.integers(0, h, size=n).astype(coord_dtype)
+    cols = rng.integers(0, w, size=n).astype(coord_dtype)
+    got = extract_patches_array(vals, rows, cols, patch_size)
+    want = extract_patches_loop(vals, rows, cols, patch_size)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # split
 
@@ -614,6 +672,38 @@ def test_synth_noiseless_classes_identical_and_1nn_perfect():
         d = np.linalg.norm(spectra - spectra[i], axis=1)
         d[i] = np.inf
         assert truth[np.argmin(d)] == truth[i]
+
+
+
+def foreign_context_counts_integral(labels, window):
+    """The per-class integral images that _foreign_context_counts replaced."""
+    h, w = labels.shape
+    half = window // 2
+    counts = np.zeros((h, w), dtype=np.int64)
+    rs, re = np.clip(np.arange(h) - half, 0, h), np.clip(np.arange(h) + half, 0, h)
+    cs, ce = np.clip(np.arange(w) - half, 0, w), np.clip(np.arange(w) + half, 0, w)
+    for cls in np.unique(labels):
+        integral = np.zeros((h + 1, w + 1), dtype=np.int64)
+        integral[1:, 1:] = (labels == cls).astype(np.int64).cumsum(axis=0).cumsum(axis=1)
+        window_sum = (integral[re[:, None], ce[None, :]] - integral[rs[:, None], ce[None, :]]
+                      - integral[re[:, None], cs[None, :]] + integral[rs[:, None], cs[None, :]])
+        in_window = (re - rs)[:, None] * (ce - cs)[None, :]
+        counts[labels == cls] = (in_window - window_sum)[labels == cls]
+    return counts
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(h=st.integers(1, 40), w=st.integers(1, 40), classes=st.integers(1, 9),
+       window=st.sampled_from([2, 4, 8, 16]), guillotine=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_foreign_context_counts_match_integral_images(h, w, classes, window, guillotine, seed):
+    if guillotine and max(h, w) >= classes:
+        labels = np.zeros((h, w), dtype=np.int32)
+        data._guillotine_blocks(classes, 0, h, 0, w, labels, 1)
+    else:
+        labels = np.random.default_rng(seed).integers(1, classes + 1, size=(h, w)).astype(np.int32)
+    got = data._foreign_context_counts(labels, window)
+    want = foreign_context_counts_integral(labels, window)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_synth_deterministic():

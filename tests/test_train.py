@@ -255,7 +255,7 @@ def test_fit_returns_best_observed_checkpoint():
 def test_fit_rejects_empty_sets():
     rng = np.random.default_rng(5)
     data = toy_patchset(rng, 4)
-    empty = data.subset(np.array([], dtype=int))
+    empty = PatchSet(data.xr[:0], data.xc_re[:0], data.xc_im[:0], data.labels[:0])
     model = DualStreamModel.build(small_config(), 2, rng)
     with pytest.raises(DataError):
         fit(model, empty, data, TrainConfig())
