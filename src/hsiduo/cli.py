@@ -141,18 +141,25 @@ def build_patchset(std_array, samples, patch_size):
 
 
 def predict_samples(model, std_array, rows, cols, patch_size, chunk=64):
-    """Streamed prediction; returns 1-based class labels. The conv
-    kernels run a batch a few samples at a time (25 at the first layer,
-    14 at the second, at the default shapes), so a batch of 64 holds a
-    quarter of batch 256's patch stacks and activations at about the
-    same speed (see README)."""
+    """Streamed prediction in float32; returns 1-based class labels.
+
+    The weights are model.flat rounded to float32 once per call, the
+    values the checkpoint stores, so training's test-set report is what
+    `map` of its checkpoint predicts; model.flat is left as it is. Each
+    batch's patch stacks and band-wise FFT, computed in float64, are
+    rounded once, and the forward pass runs in float32. The conv kernels
+    run a batch a few samples at a time (50 at the first layer, 28 at the
+    second, at the default shapes), so a batch of 64 holds a quarter of
+    batch 256's patch stacks and activations at about the same speed
+    (see README)."""
     import numpy as np
 
+    params = model.flat.astype(np.float32)
     out = np.zeros(rows.shape[0], dtype=np.int32)
     for lo in range(0, rows.shape[0], chunk):
         hi = min(lo + chunk, rows.shape[0])
         stacks = _patch_stacks(std_array, rows[lo:hi], cols[lo:hi], patch_size)
-        out[lo:hi] = model.predict_batch(*stacks) + 1
+        out[lo:hi] = model.predict_batch(*(x.astype(np.float32) for x in stacks), params=params) + 1
     return out
 
 
@@ -210,8 +217,6 @@ def run_training(cube, label_map, config, seed: int):
         config, n_classes, rng=np.random.default_rng(np.random.SeedSequence([seed, 0x1D17]))
     )
     model, history = fit(model, train_ps, val_ps, train_cfg)
-    # the weights the checkpoint stores, so the report is what `map` of it predicts
-    model.flat[...] = model.flat.astype(np.float32)
 
     pred = predict_samples(model, std_array, test_samples.rows, test_samples.cols, config.patch_size)
     cm = metrics.ConfusionMatrix.from_predictions(test_samples.labels, pred, n_classes)

@@ -220,12 +220,18 @@ class DualStreamModel:
 
     # -- forward -------------------------------------------------------
 
-    def forward_batch(self, xr, xc_re, xc_im, training=False, dropout_seed=None, cache=True):
+    def forward_batch(self, xr, xc_re, xc_im, training=False, dropout_seed=None, cache=True,
+                      params=None):
         """Probabilities plus the cache needed for backpropagation.
 
         xr, xc_re, xc_im: [N, S, S, P] patch stacks. Dropout masks are
         drawn from a stream keyed by (dropout_seed, layer index) so
         serial and parallel execution produce identical masks.
+
+        params is the parameter buffer to read, laid out like `flat`; None
+        reads `flat` itself. Every layer computes in its inputs' dtype, so
+        float32 stacks and a float32 buffer (as predict_samples passes)
+        give a float32 forward, and float64 ones (training) a float64 one.
 
         With cache=False (evaluation) no cache is kept and (probs, None)
         is returned: every ReLU is applied in place, and each conv
@@ -234,7 +240,7 @@ class DualStreamModel:
         """
         n = xr.shape[0]
         store = {"real": [], "cplx": [], "dense": []}
-        w = self.layer_views()
+        w = self.layer_views(params)
 
         def relu(pre):  # a new array only when the cache keeps pre
             return np.maximum(pre, 0.0, out=None if cache else pre)
@@ -292,9 +298,10 @@ class DualStreamModel:
         store.update(flat_shape=se_out.shape, head_in=h, probs=probs)
         return probs, store
 
-    def predict_batch(self, xr, xc_re, xc_im) -> np.ndarray:
-        """Zero-based class indices for a patch stack."""
-        probs, _ = self.forward_batch(xr, xc_re, xc_im, cache=False)
+    def predict_batch(self, xr, xc_re, xc_im, params=None) -> np.ndarray:
+        """Zero-based class indices for a patch stack, read from the
+        parameter buffer params (None: `flat`), as forward_batch does."""
+        probs, _ = self.forward_batch(xr, xc_re, xc_im, cache=False, params=params)
         return np.argmax(probs, axis=1)
 
     def find_nonfinite_layer(self, cache) -> str:

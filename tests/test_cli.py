@@ -743,11 +743,171 @@ def test_prediction_does_not_depend_on_the_batch():
 
     stacks = cli._patch_stacks(std, test.rows, test.cols, config.patch_size)
 
-    def probs(batch):
-        return np.concatenate([net.forward_batch(*(x[lo : lo + batch] for x in stacks), cache=False)[0]
-                               for lo in range(0, len(test), batch)])
+    def probs(batch, dtype):
+        # float64 is training's evaluation; float32 is the predictor's, whose
+        # conv kernels split a batch into pieces of 50 samples at the first
+        # layer rather than 25, so batch 64 runs a piece of 14 that 256 does not
+        params = net.flat.astype(dtype)
+        return np.concatenate([
+            net.forward_batch(*(x[lo : lo + batch].astype(dtype) for x in stacks), cache=False, params=params)[0]
+            for lo in range(0, len(test), batch)])
 
-    assert np.array_equal(probs(64), probs(256))
+    for dtype in (np.float64, np.float32):
+        at_64 = probs(64, dtype)
+        assert at_64.dtype == dtype
+        assert np.array_equal(at_64, probs(256, dtype)), dtype
+
+
+def pavia_slice(h, w, seed):
+    """A corner of a Pavia-University-shaped scene (103 bands, 9 classes in
+    10 x 10 pixel cells), drawn as perfbench's 610 x 340 cube is: smooth
+    class mean spectra plus within-class variation along the DCT-II basis
+    with a std decaying from 0.05 over three decades. Returns the cube and
+    every pixel's class."""
+    from hsiduo.data import HsiCube
+    from hsiduo.tensor import Tensor
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9A7]))
+    b, n_classes = 103, 9
+    cells = rng.integers(1, n_classes + 1, size=(-(-h // 10), -(-w // 10)))
+    classes = np.repeat(np.repeat(cells, 10, axis=0), 10, axis=1)[:h, :w]
+    axis = np.arange(b, dtype=np.float64)
+    centers = rng.uniform(0, b - 1, size=(n_classes + 1, 3, 1))
+    widths = rng.uniform(b / 10, b / 4, size=(n_classes + 1, 3, 1))
+    amps = rng.uniform(0.05, 0.2, size=(n_classes + 1, 3, 1))
+    means = 0.2 + (amps * np.exp(-((axis - centers) ** 2) / (2 * widths**2))).sum(axis=1)
+    basis = np.cos(np.pi * (axis[:, None] + 0.5) * axis[None, :] / b)
+    basis /= np.linalg.norm(basis, axis=0)
+    z = rng.standard_normal((h * w, b)) * (0.05 * 1e-3 ** (axis / (b - 1)))
+    values = (means[classes.reshape(-1)] + z @ basis.T).reshape(h, w, b).astype(np.float32)
+    return HsiCube(Tensor.from_array(values)), classes
+
+
+def predictor_probs(monkeypatch, net, std, rows, cols, patch_size):
+    """The labels predict_samples returns and the probabilities its
+    forward passes computed, in pixel order."""
+    from hsiduo import cli
+    from hsiduo.model import DualStreamModel
+
+    seen, forward = [], DualStreamModel.forward_batch
+
+    def recording(self, *args, **kwargs):
+        probs, cache = forward(self, *args, **kwargs)
+        seen.append(probs)
+        return probs, cache
+
+    with monkeypatch.context() as m:
+        m.setattr(DualStreamModel, "forward_batch", recording)
+        labels = cli.predict_samples(net, std, rows, cols, patch_size)
+    return labels, np.concatenate(seen)
+
+
+# the float32 predictor against the float64 forward of the same rounded
+# weights: measured at most 7.4e-7 on these scenes
+PROB_BOUND = 1e-5
+# a pixel whose float64 top two classes are closer than this may take
+# either class in float32; perfbench's checks allow the same margin
+TIE_MARGIN = 1e-4
+
+
+@pytest.mark.parametrize("scene", ["desk", "pavia"])
+def test_float32_prediction_matches_the_float64_forward(monkeypatch, scene):
+    # `train`'s model after 30 epochs of its fit, so the logits are a
+    # trained model's rather than the near-uniform ones of Glorot weights;
+    # the desk scene's 963 test pixels, or 512 seeded ones of a Pavia slice
+    from dataclasses import replace
+
+    from hsiduo import cli
+    from hsiduo.data import LabelMap, stratified_split, synth_dataset
+    from hsiduo.model import DualStreamModel, ModelConfig
+    from hsiduo.train import fit
+
+    config = ModelConfig()
+    if scene == "desk":
+        cube, label_map = synth_dataset(3, 32, 32, 16, 0.1, 0)
+    else:
+        cube, classes = pavia_slice(64, 64, seed=0)
+        label_map = LabelMap(classes)
+    train_px, val_px, test = stratified_split(label_map, seed=0)
+    std = cli._standardized(cube, config.pca_components)
+    net = DualStreamModel.build(config, label_map.n_classes,
+                                rng=np.random.default_rng(np.random.SeedSequence([0, 0x1D17])))
+    net, _ = fit(net, cli.build_patchset(std, train_px, config.patch_size),
+                 cli.build_patchset(std, val_px, config.patch_size),
+                 replace(config.train, epochs=30, patience=30))
+    rows, cols = test.rows, test.cols
+    if scene == "pavia":
+        pick = np.sort(np.random.default_rng(3).choice(len(test), size=512, replace=False))
+        rows, cols = rows[pick], cols[pick]
+
+    flat = net.flat.copy()
+    labels, got = predictor_probs(monkeypatch, net, std, rows, cols, config.patch_size)
+    assert got.dtype == np.float32 and got.shape == (rows.size, net.n_classes)
+    assert np.array_equal(labels, np.argmax(got, axis=1) + 1)
+    assert np.array_equal(net.flat, flat)
+
+    stacks = cli._patch_stacks(std, rows, cols, config.patch_size)
+    want, _ = net.forward_batch(*stacks, cache=False, params=flat.astype(np.float32).astype(np.float64))
+    assert want.dtype == np.float64
+    assert np.abs(got - want).max() < PROB_BOUND
+    top2 = np.sort(want, axis=1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] >= TIE_MARGIN
+    assert clear.mean() > 0.9
+    assert np.array_equal(np.argmax(got, axis=1)[clear], np.argmax(want, axis=1)[clear])
+
+
+def test_prediction_runs_in_float32_and_training_in_float64(monkeypatch):
+    # every conv call of the predictor reads float32 stacks and weights;
+    # every one of train.fit, its backward and its validation, float64
+    from hsiduo import cli, layers, train
+    from hsiduo.data import stratified_split, synth_dataset
+    from hsiduo.model import DualStreamModel, ModelConfig
+
+    config = ModelConfig.from_json_dict(small_config_doc(epochs=2))
+    cube, label_map = synth_dataset(3, 16, 16, 8, 0.05, 5)
+    train_px, val_px, test_px = stratified_split(label_map, seed=0)
+    std = cli._standardized(cube, config.pca_components)
+    net = DualStreamModel.build(config, 3, rng=np.random.default_rng(0))
+
+    phase, calls = ["none"], []
+    real_conv, cplx_conv = layers.conv3d_real_batch, layers.conv3d_complex_batch
+
+    def record_real(x, kernels, bias):
+        calls.append((phase[0], "real", {x.dtype}, {kernels.dtype, bias.dtype}))
+        return real_conv(x, kernels, bias)
+
+    def record_cplx(xr, xi, p):
+        calls.append((phase[0], "cplx", {xr.dtype, xi.dtype}, {a.dtype for a in p}))
+        return cplx_conv(xr, xi, p)
+
+    def in_phase(name, fn):
+        def run(*args, **kwargs):
+            phase[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = "none"
+        return run
+
+    monkeypatch.setattr(layers, "conv3d_real_batch", record_real)
+    monkeypatch.setattr(layers, "conv3d_complex_batch", record_cplx)
+    monkeypatch.setattr(train, "backward", in_phase("backward", train.backward))
+    monkeypatch.setattr(train, "evaluate_loss_accuracy", in_phase("evaluate", train.evaluate_loss_accuracy))
+
+    net, _ = train.fit(net, cli.build_patchset(std, train_px, config.patch_size),
+                       cli.build_patchset(std, val_px, config.patch_size), config.train)
+    flat = net.flat.copy()
+    phase[0] = "predict"
+    cli.predict_samples(net, std, test_px.rows, test_px.cols, config.patch_size)
+    assert net.flat.dtype == np.float64 and net.flat.tobytes() == flat.tobytes()
+
+    want = {"backward": np.float64, "evaluate": np.float64, "predict": np.float32}
+    for name, dtype in want.items():
+        mine = [c for c in calls if c[0] == name]
+        assert {kind for _, kind, _, _ in mine} == {"real", "cplx"}, name
+        assert all(inputs == {np.dtype(dtype)} and weights == {np.dtype(dtype)}
+                   for _, _, inputs, weights in mine), (name, mine)
+    assert {c[0] for c in calls} == set(want)
 
 
 def test_class_colors_is_class_color_per_label():
