@@ -17,7 +17,7 @@ import sys
 
 from . import schema
 
-# class 0 is black; classes cycle through the remaining 15 entries
+# class 0 is black; classes cycle through the remaining 16 entries
 PALETTE = (
     (0, 0, 0),
     (230, 25, 75),
@@ -35,13 +35,14 @@ PALETTE = (
     (170, 110, 40),
     (255, 250, 200),
     (128, 0, 0),
+    (170, 255, 195),
 )
 
 
 def _palette_index(labels):
     """PALETTE index of a label, or of every entry of an integer array:
-    0 for unlabelled (<= 0), else the 15 class colours in turn."""
-    return (labels > 0) * (1 + (labels - 1) % 15)
+    0 for unlabelled (<= 0), else the 16 class colours in turn."""
+    return (labels > 0) * (1 + (labels - 1) % 16)
 
 
 def class_color(cls: int):

@@ -419,22 +419,14 @@ def standardize(reduced: Tensor) -> Tensor:
     its null bands holding roundoff rather than exact zeros, and scaling
     that roundoff to unit variance would feed pure noise to the model.
 
-    The std is np.std's own arithmetic on the centred values, squared in
-    place and freed before the output is centred again, so beside the
-    reduced cube one array of its size is live at a time.
+    np.std frees its centred temporary before the output is allocated, so
+    beside the reduced cube one array of its size is live at a time.
     """
     if len(reduced.shape) != 3:
         raise DimensionError(f"standardize expects [H,W,P], got {reduced.shape}")
     arr = reduced.as_array()
-    mean = arr.mean(axis=(0, 1))
-    centred = arr - mean
-    sumsq = np.square(centred, out=centred).sum(axis=(0, 1))
-    # freeing a cube-sized buffer, as np.std does, raises glibc's mmap and
-    # trim thresholds; reusing it as the output took a batch-16 train.fit
-    # run after it from 5.8k to 24.4k page faults
-    del centred
+    mean, std = arr.mean(axis=(0, 1)), arr.std(axis=(0, 1))
     out = arr - mean
-    std = np.sqrt(sumsq / (arr.shape[0] * arr.shape[1]))
     out /= np.where(std > _DEGENERATE_STD_RATIO * std.max(initial=0.0), std, 1.0)
     out.flags.writeable = False  # Tensor keeps a read-only array without a copy
     return Tensor.from_array(out)

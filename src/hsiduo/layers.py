@@ -36,8 +36,7 @@ buffers and one kernel-sized block per call, the scratch stays small at
 any batch.
 
 Every op is an array kernel with a leading batch axis; the model's
-forward pass and the training loop's backward pass call these and nothing
-else.
+forward and backward passes call these and nothing else.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Dual-branch model: real conv stack + complex conv stack over the
 band-wise FFT patch, channel-concatenation fusion, optional SE
-recalibration, and a fully-connected softmax head.
+recalibration, and a fully-connected softmax head: its forward pass and
+the backward pass through it.
 
 Also owns the run configuration schema and the checkpoint format
 (flat little-endian float32 records plus a JSON manifest).
@@ -218,11 +219,11 @@ class DualStreamModel:
             raise DimensionError(f"parameters: shape {values.shape} != expected {self.flat.shape}")
         self.flat[...] = values
 
-    # -- forward -------------------------------------------------------
+    # -- forward and backward ------------------------------------------
 
     def forward_batch(self, xr, xc_re, xc_im, training=False, dropout_seed=None, cache=True,
                       params=None):
-        """Probabilities plus the cache needed for backpropagation.
+        """Probabilities plus the cache backward_batch reads.
 
         xr, xc_re, xc_im: [N, S, S, P] patch stacks. Dropout masks are
         drawn from a stream keyed by (dropout_seed, layer index) so
@@ -233,70 +234,124 @@ class DualStreamModel:
         float32 stacks and a float32 buffer (as predict_samples passes)
         give a float32 forward, and float64 ones (training) a float64 one.
 
+        Every ReLU and CReLU is applied in place, and dropout in place on
+        its output, so the cache keeps each conv and dense layer's input
+        and output, and that output is the next layer's input.
+
         With cache=False (evaluation) no cache is kept and (probs, None)
-        is returned: every ReLU is applied in place, and each conv
-        layer's input is dropped once its output exists. The
-        probabilities are those of the cached forward bit for bit.
+        is returned: each conv layer's input is dropped once its output
+        exists. The probabilities are those of the cached forward bit for
+        bit.
         """
         n = xr.shape[0]
         store = {"real": [], "cplx": [], "dense": []}
         w = self.layer_views(params)
 
-        def relu(pre):  # a new array only when the cache keeps pre
-            return np.maximum(pre, 0.0, out=None if cache else pre)
-
         a = xr[..., None]
         for kernels, bias in w["real_conv"]:
-            pre = layers.conv3d_real_batch(a, kernels, bias)
+            out = _relu(layers.conv3d_real_batch(a, kernels, bias))
             if cache:
-                store["real"].append((a, pre))
-            a = relu(pre)
-        real_out = a
+                store["real"].append((a, out))
+            a = out
 
         ar, ai = xc_re[..., None], xc_im[..., None]
         for p in w["cplx_conv"]:
-            pre_re, pre_im = layers.conv3d_complex_batch(ar, ai, p)
+            out_re, out_im = map(_relu, layers.conv3d_complex_batch(ar, ai, p))
             if cache:
-                store["cplx"].append((ar, ai, pre_re, pre_im))
-            ar, ai = relu(pre_re), relu(pre_im)
+                store["cplx"].append((ar, ai, out_re, out_im))
+            ar, ai = out_re, out_im
 
         # depth axis folded into channels so the SE block sees [H,W,C]
-        rh, rw = real_out.shape[1:3]
-        rfold = real_out.reshape(n, rh, rw, -1)
-        cr_fold = ar.reshape(n, rh, rw, -1)
-        ci_fold = ai.reshape(n, rh, rw, -1)
-        fused = np.concatenate([rfold, cr_fold, ci_fold], axis=3)
-        if cache:
-            store["fold_shapes"] = (real_out.shape, ar.shape)
-            store["split"] = (rfold.shape[3], cr_fold.shape[3])
-            store["fused"] = fused
+        rh, rw = a.shape[1:3]
+        fused = np.concatenate([x.reshape(n, rh, rw, -1) for x in (a, ar, ai)], axis=3)
 
         se_out = fused
         for w1, w2 in w["se"]:
-            se_out, se_cache = layers.se_forward_batch(fused, w1, w2)
-            if cache:
-                store["se"] = se_cache
+            se_out, store["se"] = layers.se_forward_batch(fused, w1, w2)
 
         h = se_out.reshape(n, -1)
         for i, (weights, bias) in enumerate(w["dense"]):
-            pre = layers.dense_batch(h, weights, bias)
+            out = _relu(layers.dense_batch(h, weights, bias))
+            mask = None
             if training and self.config.dropout_rate > 0.0:
                 rng = np.random.default_rng(np.random.SeedSequence(list(dropout_seed or (0,)) + [i]))
-                mask = layers.dropout_mask(pre.shape, self.config.dropout_rate, rng)
-            else:
-                mask = None
+                mask = layers.dropout_mask(out.shape, self.config.dropout_rate, rng)
+                out *= mask
             if cache:
-                store["dense"].append((h, pre, mask))
-            h = relu(pre)
-            if mask is not None:
-                h = h * mask
+                store["dense"].append((h, out, mask))
+            h = out
 
-        logits = layers.dense_batch(h, *w["head"][0])
-        probs = layers.softmax(logits)
+        probs = layers.softmax(layers.dense_batch(h, *w["head"][0]))
         if not cache:
             return probs, None
-        store.update(flat_shape=se_out.shape, head_in=h, probs=probs)
+        store.update(fused=fused, head_in=h, probs=probs)
         return probs, store
+
+    def backward_batch(self, cache, dlogits, grad):
+        """Write the gradient of every parameter into grad, a flat buffer
+        laid out like `flat`, from forward_batch's cache and the loss's
+        gradient with respect to the logits. Every view of grad is written
+        in full, so a held buffer needs no zeroing.
+
+        Each ReLU mask is read off the layer's output as out > 0, which is
+        pre > 0: where dropout zeroed a positive output, the gradient is
+        already multiplied by the zero of the dropout mask.
+
+        Complex parameters are trained with the real-composite convention:
+        the re and im parts of every complex weight are independent real
+        parameters, so each gradient is the plain partial derivative of
+        the real loss. That is the defined semantics for the
+        non-holomorphic split activation, and it is what central finite
+        differences check.
+        """
+        w = self.layer_views()
+        g = self.layer_views(grad)
+
+        def put(views, *values):
+            for view, value in zip(views, values):
+                view[...] = value
+
+        dh, dw, db = layers.dense_batch_backward(cache["head_in"], w["head"][0][0], dlogits)
+        put(g["head"][0], dw, db)
+
+        for i in range(len(w["dense"]) - 1, -1, -1):
+            h_in, out, mask = cache["dense"][i]
+            if mask is not None:
+                dh = dh * mask
+            dh = dh * (out > 0)
+            dh, dw, db = layers.dense_batch_backward(h_in, w["dense"][i][0], dh)
+            put(g["dense"][i], dw, db)
+
+        fused = cache["fused"]
+        d_fused = dh.reshape(fused.shape)
+        for (w1, w2), g_se in zip(w["se"], g["se"]):
+            d_fused, dw1, dw2 = layers.se_backward_batch(fused, w1, w2, cache["se"], d_fused)
+            put(g_se, dw1, dw2)
+
+        real_out = cache["real"][-1][1]
+        cplx_out = cache["cplx"][-1][2]
+        c_real, c_cplx = math.prod(real_out.shape[3:]), math.prod(cplx_out.shape[3:])
+        d_real = d_fused[..., :c_real].reshape(real_out.shape)
+        # ReLU masks apply in place and each kernel gradient is dropped once
+        # stored, so neither stays alive through the next layer's backward
+        for i in range(len(w["real_conv"]) - 1, -1, -1):
+            x_in, out = cache["real"][i]
+            d_real *= out > 0
+            d_real, dk, db = layers.conv3d_real_batch_backward(x_in, w["real_conv"][i][0], d_real)
+            put(g["real_conv"][i], dk, db)
+            del dk
+
+        d_re = d_fused[..., c_real : c_real + c_cplx].reshape(cplx_out.shape)
+        d_im = d_fused[..., c_real + c_cplx :].reshape(cplx_out.shape)
+        for i in range(len(w["cplx_conv"]) - 1, -1, -1):
+            xr_in, xi_in, out_re, out_im = cache["cplx"][i]
+            d_re *= out_re > 0
+            d_im *= out_im > 0
+            d_re, d_im, dkr, dki, dbr, dbi = layers.conv3d_complex_batch_backward(
+                xr_in, xi_in, w["cplx_conv"][i], d_re, d_im
+            )
+            put(g["cplx_conv"][i], dkr, dki, dbr, dbi)
+            del dkr, dki
 
     def predict_batch(self, xr, xc_re, xc_im, params=None) -> np.ndarray:
         """Zero-based class indices for a patch stack, read from the
@@ -305,21 +360,26 @@ class DualStreamModel:
         return np.argmax(probs, axis=1)
 
     def find_nonfinite_layer(self, cache) -> str:
-        """Name the first stage whose activations went non-finite."""
-        for i, (_, pre) in enumerate(cache["real"]):
-            if not np.all(np.isfinite(pre)):
+        """Name the first stage whose outputs went non-finite."""
+        for i, (_, out) in enumerate(cache["real"]):
+            if not np.all(np.isfinite(out)):
                 return f"real_conv{i}"
-        for i, (_, _, pre_re, pre_im) in enumerate(cache["cplx"]):
-            if not (np.all(np.isfinite(pre_re)) and np.all(np.isfinite(pre_im))):
+        for i, (_, _, out_re, out_im) in enumerate(cache["cplx"]):
+            if not (np.all(np.isfinite(out_re)) and np.all(np.isfinite(out_im))):
                 return f"cplx_conv{i}"
         if not np.all(np.isfinite(cache["fused"])):
             return "fusion"
-        for i, (_, pre, _) in enumerate(cache.get("dense", [])):
-            if not np.all(np.isfinite(pre)):
+        for i, (_, out, _) in enumerate(cache["dense"]):
+            if not np.all(np.isfinite(out)):
                 return f"dense{i}"
         if not np.all(np.isfinite(cache["probs"])):
             return "head"
         return "loss"
+
+
+def _relu(x: np.ndarray) -> np.ndarray:
+    """ReLU in place: x becomes its own activation."""
+    return np.maximum(x, 0.0, out=x)
 
 
 # ---------------------------------------------------------------------------

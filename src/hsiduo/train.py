@@ -1,11 +1,5 @@
-"""Reverse-mode differentiation, categorical cross-entropy, Adam, and the
-training loop with early stopping on validation loss.
-
-Complex parameters are trained with the real-composite convention: the re
-and im parts of every complex weight are independent real parameters, so
-each gradient is the plain partial derivative of the real loss. That is
-the defined semantics for the non-holomorphic split activation, and it is
-what central finite differences check.
+"""Categorical cross-entropy, the loss and gradient of one training step,
+Adam, and the training loop with early stopping on validation loss.
 """
 
 from __future__ import annotations
@@ -14,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import layers, schema
+from . import schema
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .schema import above, at_least
 
@@ -48,13 +42,18 @@ class TrainConfig:
 # loss
 
 
+def _cross_entropy_sum(probs: np.ndarray, onehot: np.ndarray):
+    """Summed cross-entropy of probability rows, the log clamped at LOG_CLAMP."""
+    return -(onehot * np.log(np.maximum(probs, LOG_CLAMP))).sum()
+
+
 def cross_entropy_batch(probs: np.ndarray, onehot: np.ndarray) -> float:
     """Mean cross-entropy over a batch of probability rows."""
-    return float(-(onehot * np.log(np.maximum(probs, LOG_CLAMP))).sum() / probs.shape[0])
+    return float(_cross_entropy_sum(probs, onehot) / probs.shape[0])
 
 
 # ---------------------------------------------------------------------------
-# backward through the whole graph
+# one training step's loss and gradient
 
 
 def backward(model, batch, targets, training=False, dropout_seed=None, grad=None):
@@ -66,75 +65,17 @@ def backward(model, batch, targets, training=False, dropout_seed=None, grad=None
     written in full, so a held buffer passed as grad is reused as it is,
     without zeroing; without one a fresh buffer is returned.
     """
-    xr, xc_re, xc_im = batch
     onehot = np.asarray(targets, dtype=np.float64)
-    probs, cache = model.forward_batch(
-        xr, xc_re, xc_im, training=training, dropout_seed=dropout_seed
-    )
+    probs, cache = model.forward_batch(*batch, training=training, dropout_seed=dropout_seed)
     loss = cross_entropy_batch(probs, onehot)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss; first bad layer: {model.find_nonfinite_layer(cache)}")
-
-    n = probs.shape[0]
-    w = model.layer_views()
     if grad is None:
         grad = np.empty_like(model.flat)
     elif grad.shape != model.flat.shape:
         raise DimensionError(f"gradient: shape {grad.shape} != parameters {model.flat.shape}")
-    g = model.layer_views(grad)
-
-    def put(views, *values):
-        for view, value in zip(views, values):
-            view[...] = value
-
     # softmax + cross-entropy, averaged over the batch
-    dlogits = (probs - onehot) / n
-
-    head_w, _ = w["head"][0]
-    dh, dw, db = layers.dense_batch_backward(cache["head_in"], head_w, dlogits)
-    put(g["head"][0], dw, db)
-
-    for i in range(len(w["dense"]) - 1, -1, -1):
-        h_in, pre, mask = cache["dense"][i]
-        if mask is not None:
-            dh = dh * mask
-        dh = dh * (pre > 0)
-        dh, dw, db = layers.dense_batch_backward(h_in, w["dense"][i][0], dh)
-        put(g["dense"][i], dw, db)
-
-    d_fused = dh.reshape(cache["flat_shape"])
-    for (w1, w2), g_se in zip(w["se"], g["se"]):
-        d_fused, dw1, dw2 = layers.se_backward_batch(cache["fused"], w1, w2, cache["se"], d_fused)
-        put(g_se, dw1, dw2)
-
-    c_real, c_cplx = cache["split"]
-    d_rfold = d_fused[..., :c_real]
-    d_crfold = d_fused[..., c_real : c_real + c_cplx]
-    d_cifold = d_fused[..., c_real + c_cplx :]
-
-    real_shape, cplx_shape = cache["fold_shapes"]
-    d_real = d_rfold.reshape(real_shape)
-    # ReLU masks apply in place and each kernel gradient is dropped once
-    # stored, so neither stays alive through the next layer's backward
-    for i in range(len(w["real_conv"]) - 1, -1, -1):
-        x_in, pre = cache["real"][i]
-        d_real *= pre > 0
-        d_real, dk, db = layers.conv3d_real_batch_backward(x_in, w["real_conv"][i][0], d_real)
-        put(g["real_conv"][i], dk, db)
-        del dk
-
-    d_re = d_crfold.reshape(cplx_shape)
-    d_im = d_cifold.reshape(cplx_shape)
-    for i in range(len(w["cplx_conv"]) - 1, -1, -1):
-        xr_in, xi_in, pre_re, pre_im = cache["cplx"][i]
-        d_re *= pre_re > 0
-        d_im *= pre_im > 0
-        d_re, d_im, dkr, dki, dbr, dbi = layers.conv3d_complex_batch_backward(
-            xr_in, xi_in, w["cplx_conv"][i], d_re, d_im
-        )
-        put(g["cplx_conv"][i], dkr, dki, dbr, dbi)
-        del dkr, dki
-
+    model.backward_batch(cache, (probs - onehot) / probs.shape[0], grad)
     return loss, grad
 
 
@@ -229,7 +170,7 @@ def evaluate_loss_accuracy(model, data: PatchSet, batch_size: int = 256):
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
         probs, _ = model.forward_batch(data.xr[lo:hi], data.xc_re[lo:hi], data.xc_im[lo:hi], cache=False)
-        total_loss += -(onehot[lo:hi] * np.log(np.maximum(probs, LOG_CLAMP))).sum()
+        total_loss += _cross_entropy_sum(probs, onehot[lo:hi])
         correct += int((np.argmax(probs, axis=1) == data.labels[lo:hi] - 1).sum())
     return total_loss / n, correct / n
 

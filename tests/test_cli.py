@@ -913,13 +913,27 @@ def test_prediction_runs_in_float32_and_training_in_float64(monkeypatch):
 def test_class_colors_is_class_color_per_label():
     from hsiduo.cli import PALETTE, class_color, class_colors
 
-    # unlabelled is PALETTE[0]; classes 1-15 take the rest, then repeat
-    assert [class_color(c) for c in (-2, 0, 1, 15, 16, 31)] == [PALETTE[i] for i in (0, 0, 1, 15, 1, 1)]
+    # unlabelled is PALETTE[0]; classes 1-16 take the rest, then repeat
+    assert ([class_color(c) for c in (-2, 0, 1, 15, 16, 17, 32, 33)]
+            == [PALETTE[i] for i in (0, 0, 1, 15, 16, 1, 16, 1)])
     labels = np.arange(-2, 40).reshape(6, 7)
     colors = class_colors(labels)
     assert colors.dtype == np.uint8 and colors.shape == (6, 7, 3)
     assert [tuple(c) for c in colors.reshape(-1, 3).tolist()] == [class_color(int(c)) for c in labels.reshape(-1)]
 
+
+
+def test_sixteen_classes_get_sixteen_colours():
+    from hsiduo.cli import class_color
+
+    # Salinas has 16 classes; classes 1-15 keep the colours of earlier maps
+    colours = [class_color(c) for c in range(1, 17)]
+    assert len(set(colours)) == 16 and (0, 0, 0) not in colours
+    assert colours[:15] == [
+        (230, 25, 75), (60, 180, 75), (255, 225, 25), (0, 130, 200), (245, 130, 48),
+        (145, 30, 180), (70, 240, 240), (240, 50, 230), (210, 245, 60), (250, 190, 212),
+        (0, 128, 128), (220, 190, 255), (170, 110, 40), (255, 250, 200), (128, 0, 0),
+    ]
 
 # a child interpreter's start: hsiduo from src, and peak() its VmHWM in bytes
 _PEAK_PRELUDE = (

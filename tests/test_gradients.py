@@ -2,10 +2,12 @@
 against the expanded four-real-convolutions form of the complex layer."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hsiduo import layers
 from hsiduo.layers import (
     ComplexWeights,
     conv3d_complex_batch,
@@ -43,12 +45,22 @@ def tiny_batch(rng, n=2, bands=4, n_classes=3):
 
 
 def kink_margin(model, batch):
-    """Distance of the nearest pre-activation to a ReLU/CReLU kink."""
-    _, cache = model.forward_batch(*batch)
-    vals = [np.abs(pre).min() for _, pre in cache["real"]]
-    vals += [min(np.abs(pr).min(), np.abs(pi).min()) for _, _, pr, pi in cache["cplx"]]
-    vals += [np.abs(pre).min() for _, pre, _ in cache.get("dense", [])]
-    return min(vals)
+    """Distance of the nearest pre-activation to a ReLU/CReLU kink: the
+    smallest |value| that a conv or hidden dense kernel returns during a
+    forward, read before the model applies its ReLU in place."""
+    vals = []
+
+    def recording(kernel):
+        def run(*args):
+            out = kernel(*args)
+            vals.append(min(np.abs(part).min() for part in (out if isinstance(out, tuple) else (out,))))
+            return out
+        return run
+
+    names = ("conv3d_real_batch", "conv3d_complex_batch", "dense_batch")
+    with mock.patch.multiple(layers, **{name: recording(getattr(layers, name)) for name in names}):
+        model.forward_batch(*batch)
+    return min(vals[:-1])  # the last dense_batch call gives the head's logits
 
 
 def clean_instance(seed, config_kwargs=None, n=1):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
+from math import prod
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hsiduo.model import (
     save_checkpoint,
 )
 from hsiduo.train import AdamState, adam_step
+from test_layers import fusion_cache
 
 
 def small_config():
@@ -225,3 +228,107 @@ def test_warm_prediction_keeps_no_backward_cache():
     _, peak = traced_peak(model.predict_batch, *batch)
     # the cached forward peaks at 42 MiB here, the cacheless one at about 13
     assert peak < 16 * 2**20
+
+
+def test_training_forward_caches_each_output_as_the_next_input():
+    # ReLU, CReLU and dropout all run in place, so every cached conv and
+    # dense output is post-activation and is the array the next layer reads
+    config = replace(small_config(), dense_widths=[6, 5])
+    model = DualStreamModel.build(config, 9, np.random.default_rng(8))
+    _, cache = model.forward_batch(*patch_batch(12, config, 9), training=True, dropout_seed=(3,))
+    chains = [
+        [(x, out) for x, out in cache["real"]],
+        [(xr, out_re) for xr, _, out_re, _ in cache["cplx"]],
+        [(xi, out_im) for _, xi, _, out_im in cache["cplx"]],
+        [(h, out) for h, out, _ in cache["dense"]] + [(cache["head_in"], None)],
+    ]
+    for chain in chains:
+        for (_, out), (next_in, _) in zip(chain, chain[1:]):
+            assert out is next_in
+        assert all(np.all(out >= 0) for _, out in chain if out is not None)
+    assert all(np.any(mask == 0) for _, _, mask in cache["dense"])  # dropout did zero some
+
+
+# ---------------------------------------------------------------------------
+# fusion: the real stream, then the [re | im] realization of the complex
+# stream, channel-concatenated as DualStreamModel.forward_batch runs it
+
+
+def value_at(shape, flat, idx):
+    """Independent row-major index oracle: explicit stride arithmetic."""
+    strides = [1] * len(shape)
+    for a in range(len(shape) - 2, -1, -1):
+        strides[a] = strides[a + 1] * shape[a + 1]
+    return flat[sum(i * s for i, s in zip(idx, strides))]
+
+
+def test_concat_single_elements():
+    # one band per stream: every fused pixel is [real, re, im]
+    fused = fusion_cache(np.full((1, 2, 2, 1), 2.0), np.full((1, 2, 2, 1), 3.0),
+                         np.full((1, 2, 2, 1), 4.0))["fused"]
+    assert fused.shape == (1, 2, 2, 3)
+    assert list(fused[0, 1, 0]) == [2.0, 3.0, 4.0]
+
+
+def test_concat_random_against_index_oracle():
+    rng = np.random.default_rng(1)
+    real = rng.uniform(0.0, 1.0, size=(1, 2, 2, 5))
+    re, im = rng.uniform(0.0, 1.0, size=(2, 1, 2, 2, 5))
+    cache = fusion_cache(real, re, im, complex_bands=3)
+    fused = cache["fused"][0]
+    assert fused.shape == (2, 2, 11)
+    flat = fused.reshape(-1)
+    for i in range(2):
+        for j in range(2):
+            for c in range(11):
+                got = value_at(fused.shape, flat, (i, j, c))
+                if c < 5:
+                    want = value_at((2, 2, 5), real[0].reshape(-1), (i, j, c))
+                elif c < 8:
+                    want = value_at((2, 2, 5), re[0].reshape(-1), (i, j, c - 5))
+                else:
+                    want = value_at((2, 2, 5), im[0].reshape(-1), (i, j, c - 8))
+                assert got == want
+
+
+def test_complex_to_real_unit_case():
+    cache = fusion_cache(np.zeros((1, 2, 2, 1)), np.ones((1, 2, 2, 1)), np.zeros((1, 2, 2, 1)))
+    fused = cache["fused"]
+    assert fused.shape == (1, 2, 2, 3)
+    assert np.all(fused[..., 1] == 1.0)
+    assert np.all(fused[..., 2] == 0.0)
+
+
+def test_complex_to_real_zero():
+    zeros = np.zeros((2, 2, 2, 2))
+    assert np.all(fusion_cache(zeros, zeros, zeros)["fused"] == 0.0)
+
+
+def test_complex_to_real_random_against_loop():
+    rng = np.random.default_rng(2)
+    re = rng.uniform(0.0, 1.0, size=(1, 2, 2, 2))
+    im = rng.uniform(0.0, 1.0, size=(1, 2, 2, 2))
+    fused = fusion_cache(np.zeros((1, 2, 2, 2)), re, im)["fused"][0]
+    assert fused.shape == (2, 2, 6)
+    for i in range(2):
+        for j in range(2):
+            for c in range(4):
+                got = fused[i, j, 2 + c]
+                want = re[0, i, j, c] if c < 2 else im[0, i, j, c - 2]
+                assert got == want
+
+
+def test_concat_then_slice_recovers_inputs():
+    # backward splits the fused gradient where each stream's folded
+    # channels end, read off the shapes of the cached outputs; the same
+    # cut recovers each stream's features from the fused map
+    rng = np.random.default_rng(6)
+    real, re, im = rng.uniform(0.0, 1.0, size=(3, 2, 2, 2, 4))
+    cache = fusion_cache(real, re, im)
+    c_real = prod(cache["real"][-1][1].shape[3:])
+    c_cplx = prod(cache["cplx"][-1][2].shape[3:])
+    assert (c_real, c_cplx) == (4, 4)
+    fused = cache["fused"]
+    assert np.array_equal(fused[..., :c_real], real)
+    assert np.array_equal(fused[..., c_real : c_real + c_cplx], re)
+    assert np.array_equal(fused[..., c_real + c_cplx :], im)
