@@ -124,11 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _patch_stacks(std_array, rows, cols, patch_size):
-    """Real patches and their band-wise FFTs (re, im)."""
+    """Real patches and their band-wise FFTs (re, im), in float32, the
+    model's precision: the FFT is computed in float64 and each stack is
+    rounded once."""
+    import numpy as np
+
     from . import data, spectral
 
     xr = data.extract_patches_array(std_array, rows, cols, patch_size)
-    return (xr, *spectral.bandwise_fft_arrays(xr))
+    return tuple(x.astype(np.float32) for x in (xr, *spectral.bandwise_fft_arrays(xr)))
 
 
 def build_patchset(std_array, samples, patch_size):
@@ -144,23 +148,19 @@ def build_patchset(std_array, samples, patch_size):
 def predict_samples(model, std_array, rows, cols, patch_size, chunk=64):
     """Streamed prediction in float32; returns 1-based class labels.
 
-    The weights are model.flat rounded to float32 once per call, the
-    values the checkpoint stores, so training's test-set report is what
-    `map` of its checkpoint predicts; model.flat is left as it is. Each
-    batch's patch stacks and band-wise FFT, computed in float64, are
-    rounded once, and the forward pass runs in float32. The conv kernels
-    run a batch a few samples at a time (50 at the first layer, 28 at the
-    second, at the default shapes), so a batch of 64 holds a quarter of
-    batch 256's patch stacks and activations at about the same speed
-    (see README)."""
+    The weights are model.flat, the values the checkpoint stores, so
+    training's test-set report is what `map` of its checkpoint predicts.
+    The conv kernels run a batch a few samples at a time (50 at the first
+    layer, 28 at the second, at the default shapes), so a batch of 64
+    holds a quarter of batch 256's patch stacks and activations at about
+    the same speed (see README)."""
     import numpy as np
 
-    params = model.flat.astype(np.float32)
     out = np.zeros(rows.shape[0], dtype=np.int32)
     for lo in range(0, rows.shape[0], chunk):
         hi = min(lo + chunk, rows.shape[0])
         stacks = _patch_stacks(std_array, rows[lo:hi], cols[lo:hi], patch_size)
-        out[lo:hi] = model.predict_batch(*(x.astype(np.float32) for x in stacks), params=params) + 1
+        out[lo:hi] = model.predict_batch(*stacks) + 1
     return out
 
 

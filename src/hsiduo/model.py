@@ -164,8 +164,9 @@ def _param_table(config: ModelConfig, n_classes: int) -> list:
 class DualStreamModel:
     """Holds both conv stacks, the optional SE block, and the FC head.
 
-    Every parameter is a view into one flat buffer, `flat`; the views are
-    taken afresh from it on each use.
+    Every parameter is a view into one flat float32 buffer, `flat`, taken
+    afresh on each use. The checkpoint stores `flat` bit for bit, and
+    training and prediction both compute in float32.
     """
 
     def __init__(self, config: ModelConfig, n_classes: int):
@@ -175,11 +176,13 @@ class DualStreamModel:
         self.config = config
         self.n_classes = n_classes
         self._table = _param_table(config, n_classes)
-        self.flat = np.zeros(sum(math.prod(s) for _, decls in self._table for _, s, _ in decls))
+        self.flat = np.zeros(sum(math.prod(s) for _, decls in self._table for _, s, _ in decls),
+                             dtype=np.float32)
 
     @staticmethod
     def build(config: ModelConfig, n_classes: int, rng: np.random.Generator | None = None) -> "DualStreamModel":
-        """Construct with Glorot-initialized weights (zeros when rng is None)."""
+        """Construct with Glorot-initialized weights (zeros when rng is None),
+        drawn in float64 and rounded as they are written into `flat`."""
         model = DualStreamModel(config, n_classes)
         if rng is not None:
             decls = [decl for _, layer in model._table for decl in layer]
@@ -221,18 +224,15 @@ class DualStreamModel:
 
     # -- forward and backward ------------------------------------------
 
-    def forward_batch(self, xr, xc_re, xc_im, training=False, dropout_seed=None, cache=True,
-                      params=None):
+    def forward_batch(self, xr, xc_re, xc_im, training=False, dropout_seed=None, cache=True):
         """Probabilities plus the cache backward_batch reads.
 
         xr, xc_re, xc_im: [N, S, S, P] patch stacks. Dropout masks are
         drawn from a stream keyed by (dropout_seed, layer index) so
         serial and parallel execution produce identical masks.
 
-        params is the parameter buffer to read, laid out like `flat`; None
-        reads `flat` itself. Every layer computes in its inputs' dtype, so
-        float32 stacks and a float32 buffer (as predict_samples passes)
-        give a float32 forward, and float64 ones (training) a float64 one.
+        Every layer computes in its inputs' dtype: the float32 stacks that
+        cli._patch_stacks returns give a float32 forward.
 
         Every ReLU and CReLU is applied in place, and dropout in place on
         its output, so the cache keeps each conv and dense layer's input
@@ -245,7 +245,7 @@ class DualStreamModel:
         """
         n = xr.shape[0]
         store = {"real": [], "cplx": [], "dense": []}
-        w = self.layer_views(params)
+        w = self.layer_views()
 
         a = xr[..., None]
         for kernels, bias in w["real_conv"]:
@@ -275,7 +275,8 @@ class DualStreamModel:
             mask = None
             if training and self.config.dropout_rate > 0.0:
                 rng = np.random.default_rng(np.random.SeedSequence(list(dropout_seed or (0,)) + [i]))
-                mask = layers.dropout_mask(out.shape, self.config.dropout_rate, rng)
+                # in the activation's dtype, so that the backward's dh * mask stays in it
+                mask = layers.dropout_mask(out.shape, self.config.dropout_rate, rng).astype(out.dtype)
                 out *= mask
             if cache:
                 store["dense"].append((h, out, mask))
@@ -353,10 +354,9 @@ class DualStreamModel:
             put(g["cplx_conv"][i], dkr, dki, dbr, dbi)
             del dkr, dki
 
-    def predict_batch(self, xr, xc_re, xc_im, params=None) -> np.ndarray:
-        """Zero-based class indices for a patch stack, read from the
-        parameter buffer params (None: `flat`), as forward_batch does."""
-        probs, _ = self.forward_batch(xr, xc_re, xc_im, cache=False, params=params)
+    def predict_batch(self, xr, xc_re, xc_im) -> np.ndarray:
+        """Zero-based class indices for a patch stack."""
+        probs, _ = self.forward_batch(xr, xc_re, xc_im, cache=False)
         return np.argmax(probs, axis=1)
 
     def find_nonfinite_layer(self, cache) -> str:
@@ -418,7 +418,7 @@ def save_checkpoint(model: DualStreamModel, manifest_path: str, class_names=None
     tmp_params, tmp_manifest = params_path + ".tmp", manifest_path + ".tmp"
     try:
         with open(tmp_params, "wb") as fh:
-            fh.write(model.flat.astype("<f4").tobytes())
+            fh.write(model.flat.astype("<f4", copy=False).tobytes())
             fh.flush()
             os.fsync(fh.fileno())
         with open(tmp_manifest, "w", encoding="utf-8") as fh:

@@ -65,7 +65,7 @@ def backward(model, batch, targets, training=False, dropout_seed=None, grad=None
     written in full, so a held buffer passed as grad is reused as it is,
     without zeroing; without one a fresh buffer is returned.
     """
-    onehot = np.asarray(targets, dtype=np.float64)
+    onehot = np.asarray(targets, dtype=model.flat.dtype)  # a float64 one would widen dlogits
     probs, cache = model.forward_batch(*batch, training=training, dropout_seed=dropout_seed)
     loss = cross_entropy_batch(probs, onehot)
     if not np.isfinite(loss):
@@ -83,7 +83,7 @@ def backward(model, batch, targets, training=False, dropout_seed=None, grad=None
 # Adam
 
 
-# elements per block of the Adam update: its five operands (256 KiB each)
+# elements per block of the Adam update: its five float32 operands (128 KiB each)
 # stay in cache across the update's passes
 _ADAM_BLOCK = 1 << 15
 

@@ -743,19 +743,21 @@ def test_prediction_does_not_depend_on_the_batch():
 
     stacks = cli._patch_stacks(std, test.rows, test.cols, config.patch_size)
 
-    def probs(batch, dtype):
-        # float64 is training's evaluation; float32 is the predictor's, whose
-        # conv kernels split a batch into pieces of 50 samples at the first
-        # layer rather than 25, so batch 64 runs a piece of 14 that 256 does not
-        params = net.flat.astype(dtype)
-        return np.concatenate([
-            net.forward_batch(*(x[lo : lo + batch].astype(dtype) for x in stacks), cache=False, params=params)[0]
-            for lo in range(0, len(test), batch)])
+    def probs(batch):
+        # the conv kernels split a batch into pieces of 50 samples at the
+        # first layer, so batch 64 runs a piece of 14 that 256 does not
+        return np.concatenate([net.forward_batch(*(x[lo : lo + batch] for x in stacks), cache=False)[0]
+                               for lo in range(0, len(test), batch)])
 
-    for dtype in (np.float64, np.float32):
-        at_64 = probs(64, dtype)
-        assert at_64.dtype == dtype
-        assert np.array_equal(at_64, probs(256, dtype)), dtype
+    # the predictor's batch and validation's agree bit for bit; fit's batch
+    # of 7 runs GEMMs of under 16 rows, whose rows BLAS rounds differently
+    # (measured 6.0e-8 apart), so it agrees to float32 roundoff
+    at_64 = probs(64)
+    assert at_64.dtype == np.float32
+    assert np.array_equal(at_64, probs(256))
+    at_7 = probs(7)
+    assert np.abs(at_7 - at_64).max() < 1e-6
+    assert np.array_equal(np.argmax(at_7, axis=1), np.argmax(at_64, axis=1))
 
 
 def pavia_slice(h, w, seed):
@@ -802,8 +804,8 @@ def predictor_probs(monkeypatch, net, std, rows, cols, patch_size):
     return labels, np.concatenate(seen)
 
 
-# the float32 predictor against the float64 forward of the same rounded
-# weights: measured at most 7.4e-7 on these scenes
+# the float32 predictor against the float64 forward of the same weights
+# and unrounded patch stacks: measured at most 7.4e-7 on these scenes
 PROB_BOUND = 1e-5
 # a pixel whose float64 top two classes are closer than this may take
 # either class in float32; perfbench's checks allow the same margin
@@ -817,9 +819,12 @@ def test_float32_prediction_matches_the_float64_forward(monkeypatch, scene):
     # the desk scene's 963 test pixels, or 512 seeded ones of a Pavia slice
     from dataclasses import replace
 
-    from hsiduo import cli
+    from test_gradients import float64_twin
+
+    from hsiduo import cli, data
     from hsiduo.data import LabelMap, stratified_split, synth_dataset
     from hsiduo.model import DualStreamModel, ModelConfig
+    from hsiduo.spectral import bandwise_fft_arrays
     from hsiduo.train import fit
 
     config = ModelConfig()
@@ -846,8 +851,8 @@ def test_float32_prediction_matches_the_float64_forward(monkeypatch, scene):
     assert np.array_equal(labels, np.argmax(got, axis=1) + 1)
     assert np.array_equal(net.flat, flat)
 
-    stacks = cli._patch_stacks(std, rows, cols, config.patch_size)
-    want, _ = net.forward_batch(*stacks, cache=False, params=flat.astype(np.float32).astype(np.float64))
+    xr = data.extract_patches_array(std, rows, cols, config.patch_size)
+    want, _ = float64_twin(net).forward_batch(xr, *bandwise_fft_arrays(xr), cache=False)
     assert want.dtype == np.float64
     assert np.abs(got - want).max() < PROB_BOUND
     top2 = np.sort(want, axis=1)[:, -2:]
@@ -856,9 +861,9 @@ def test_float32_prediction_matches_the_float64_forward(monkeypatch, scene):
     assert np.array_equal(np.argmax(got, axis=1)[clear], np.argmax(want, axis=1)[clear])
 
 
-def test_prediction_runs_in_float32_and_training_in_float64(monkeypatch):
-    # every conv call of the predictor reads float32 stacks and weights;
-    # every one of train.fit, its backward and its validation, float64
+def test_training_and_prediction_run_in_float32(monkeypatch):
+    # every conv kernel, forward and backward, reads float32 inputs and
+    # weights in train.fit's backward, in its validation and in the predictor
     from hsiduo import cli, layers, train
     from hsiduo.data import stratified_split, synth_dataset
     from hsiduo.model import DualStreamModel, ModelConfig
@@ -870,15 +875,15 @@ def test_prediction_runs_in_float32_and_training_in_float64(monkeypatch):
     net = DualStreamModel.build(config, 3, rng=np.random.default_rng(0))
 
     phase, calls = ["none"], []
-    real_conv, cplx_conv = layers.conv3d_real_batch, layers.conv3d_complex_batch
 
-    def record_real(x, kernels, bias):
-        calls.append((phase[0], "real", {x.dtype}, {kernels.dtype, bias.dtype}))
-        return real_conv(x, kernels, bias)
+    def recording(name):
+        kernel = getattr(layers, name)
 
-    def record_cplx(xr, xi, p):
-        calls.append((phase[0], "cplx", {xr.dtype, xi.dtype}, {a.dtype for a in p}))
-        return cplx_conv(xr, xi, p)
+        def run(*args):
+            arrays = [a for arg in args for a in (arg if isinstance(arg, tuple) else (arg,))]
+            calls.append((phase[0], name, {a.dtype for a in arrays if a is not None}))
+            return kernel(*args)
+        return run
 
     def in_phase(name, fn):
         def run(*args, **kwargs):
@@ -889,8 +894,10 @@ def test_prediction_runs_in_float32_and_training_in_float64(monkeypatch):
                 phase[0] = "none"
         return run
 
-    monkeypatch.setattr(layers, "conv3d_real_batch", record_real)
-    monkeypatch.setattr(layers, "conv3d_complex_batch", record_cplx)
+    kernels = ("conv3d_real_batch", "conv3d_complex_batch",
+               "conv3d_real_batch_backward", "conv3d_complex_batch_backward")
+    for name in kernels:
+        monkeypatch.setattr(layers, name, recording(name))
     monkeypatch.setattr(train, "backward", in_phase("backward", train.backward))
     monkeypatch.setattr(train, "evaluate_loss_accuracy", in_phase("evaluate", train.evaluate_loss_accuracy))
 
@@ -899,15 +906,14 @@ def test_prediction_runs_in_float32_and_training_in_float64(monkeypatch):
     flat = net.flat.copy()
     phase[0] = "predict"
     cli.predict_samples(net, std, test_px.rows, test_px.cols, config.patch_size)
-    assert net.flat.dtype == np.float64 and net.flat.tobytes() == flat.tobytes()
+    assert net.flat.dtype == np.float32 and net.flat.tobytes() == flat.tobytes()
 
-    want = {"backward": np.float64, "evaluate": np.float64, "predict": np.float32}
-    for name, dtype in want.items():
-        mine = [c for c in calls if c[0] == name]
-        assert {kind for _, kind, _, _ in mine} == {"real", "cplx"}, name
-        assert all(inputs == {np.dtype(dtype)} and weights == {np.dtype(dtype)}
-                   for _, _, inputs, weights in mine), (name, mine)
+    want = {"backward": set(kernels), "evaluate": set(kernels[:2]), "predict": set(kernels[:2])}
     assert {c[0] for c in calls} == set(want)
+    for name, called in want.items():
+        mine = [c for c in calls if c[0] == name]
+        assert {kernel for _, kernel, _ in mine} == called, name
+        assert all(dtypes == {np.dtype(np.float32)} for _, _, dtypes in mine), (name, mine)
 
 
 def test_class_colors_is_class_color_per_label():

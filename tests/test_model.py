@@ -116,6 +116,15 @@ def test_init_order_pins_checkpoint_bytes(tmp_path):
     }
 
 
+def test_parameters_are_float32_and_the_payload_is_their_bytes(tmp_path):
+    model = DualStreamModel.build(small_config(), 3, np.random.default_rng(1))
+    assert model.flat.dtype == np.float32
+    save_checkpoint(model, str(tmp_path / "ckpt.json"))
+    assert (tmp_path / "ckpt.bin").read_bytes() == model.flat.tobytes()
+    loaded, _ = load_checkpoint(str(tmp_path / "ckpt.json"))
+    assert loaded.flat.dtype == np.float32 and loaded.flat.tobytes() == model.flat.tobytes()
+
+
 def test_checkpoint_roundtrip_and_manifest_layout(tmp_path):
     rng = np.random.default_rng(1)
     model = DualStreamModel.build(small_config(), 3, rng)
