@@ -254,7 +254,7 @@ def _load_config(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise IngestionError(f"malformed config {path}: {exc}") from exc
-    return ModelConfig.from_json_dict(doc)
+    return ModelConfig.from_json_dict(schema.read(doc, dict, f"config {path}"))
 
 
 def _run_inputs(args):

@@ -364,11 +364,13 @@ def fit_pca(cube: HsiCube, n_components: int):
     """Top-P eigenpairs of the pixel covariance; returns (PcaModel, reduced).
 
     The covariance is formed explicitly over all pixels (labeled and
-    unlabeled), as a sum of c c^T over blocks c of centred pixels, and
-    decomposed with the Jacobi solver, so every eigenpair is directly
-    checkable against the dense eigenproblem. The mean, the covariance and
-    `reduced` each take one pass of pixel blocks through one held buffer,
-    so no copy of the whole cube is ever held.
+    unlabeled) and decomposed with the Jacobi solver, so every eigenpair
+    is directly checkable against the dense eigenproblem. One pass of
+    pixel blocks through one held buffer gives the mean and the
+    covariance, a second gives `reduced`, so no copy of the whole cube is
+    ever held. Each block c is centred on its own mean and its scatter
+    c c^T merged into the running one by the pairwise update of Chan,
+    Golub & LeVeque (1983), as stable as centring on the final mean.
     """
     b = cube.bands
     if not (1 <= n_components <= b):
@@ -376,18 +378,18 @@ def fit_pca(cube: HsiCube, n_components: int):
     n = cube.height * cube.width
     if n < 2:
         raise DataError("fit_pca: need at least 2 pixels")
-    # row-major [n, B] arithmetic on band-major blocks: numpy's mean along axis 0
-    # is a running sum in pixel order, and c c^T is the row-major c^T c bit for bit
     buf = cube.block_buffer()
-    total = np.zeros(b)
-    for _, block in cube.pixel_blocks(buf):
-        block[:, 0] += total
-        total[:] = np.cumsum(block, axis=1, out=block)[:, -1]
-    mean = total / n
-    cov = np.zeros((b, b))
-    for _, c in cube.pixel_blocks(buf):
-        c -= mean[:, None]
+    total, cov = np.zeros(b), np.zeros((b, b))
+    for p0, c in cube.pixel_blocks(buf):
+        k = c.shape[1]
+        s = c.sum(axis=1)  # numpy's pairwise sum along each band's run
+        c -= (s / k)[:, None]
         cov += c @ c.T
+        if p0:  # the scatter of the block's mean about the p0 pixels' mean
+            d = s / k - total / p0
+            cov += np.outer(d, d) * (p0 * k / (p0 + k))
+        total += s
+    mean = total / n
     cov /= n - 1
     if not np.all(np.isfinite(cov)):
         raise NumericError("fit_pca: covariance is not finite")

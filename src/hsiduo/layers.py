@@ -21,8 +21,9 @@ shared product a: forward a = (cr - ci) Ki, re = cr (Kr - Ki) + a,
 im = ci (Kr + Ki) + a. With Ki = 0, a is exactly zero and Kr - Ki and
 Kr + Ki are exactly Kr, so a real kernel gives the real layer bit for
 bit for any imaginary input. (The textbook variant, k1 = (cr + ci) Kr, rounds the
-real part differently.) cr - ci and cr + ci are formed entry by entry
-from the two inputs' windows, straight into a column matrix.
+real part differently.) im2col only copies entries, so cr - ci and
+cr + ci are the column matrices of xr - xi and xr + xi, formed once on
+the inputs rather than on their overlapping windows.
 
 Every conv kernel works in one held, grow-only scratch buffer: its
 column matrices (written with np.copyto from the window view), dcols and
@@ -31,7 +32,8 @@ steady-state call allocates only the arrays it returns, and none of
 those is a view of the scratch. The kernels share it, so they are
 single-threaded: one call at a time per process. A batch runs a few
 samples at a time, so that each [rows, window] and [rows, Cout] buffer
-is at most _IM2COL_BYTES (or one sample's); with at most three such
+is at most _IM2COL_BYTES (or one sample's), and so is a piece of the
+input, never larger than its column matrix; with at most three such
 buffers and one kernel-sized block per call, the scratch stays small at
 any batch.
 
@@ -118,21 +120,14 @@ def _pieces(x, kshape, out_shape):
     return step * cells, [slice(s, s + step) for s in range(0, x.shape[0], step)]
 
 
-def _cols(x, kshape, block, op=None, y=None):
+def _cols(x, kshape, block):
     """im2col of x [n,H,W,D,Cin] into a scratch block: one row per output
     position (n,h,w,d), one column per window entry (i,j,k,c) in the
-    kernel's order. With op and y it holds op(x, y) instead, formed entry
-    by entry from both windows. Returns the [rows, mh*mw*md*Cin] view."""
-
-    def windows(a):  # [n,H',W',D',Cin,mh,mw,md] -> [n,H',W',D',mh,mw,md,Cin]
-        return sliding_window_view(a, kshape[:3], axis=(1, 2, 3)).transpose(0, 1, 2, 3, 5, 6, 7, 4)
-
-    win = windows(x)
+    kernel's order. Returns the [rows, mh*mw*md*Cin] view."""
+    # [n,H',W',D',Cin,mh,mw,md] -> [n,H',W',D',mh,mw,md,Cin]
+    win = sliding_window_view(x, kshape[:3], axis=(1, 2, 3)).transpose(0, 1, 2, 3, 5, 6, 7, 4)
     cols = _view(block, win.shape)
-    if op is None:
-        np.copyto(cols, win)
-    else:
-        op(win, windows(y), out=cols)
+    np.copyto(cols, win)
     return cols.reshape(-1, prod(kshape[:4]))
 
 
@@ -194,15 +189,15 @@ def conv3d_complex_batch(xr, xi, p: ComplexWeights):
     kr = p.kernels_re.reshape(window, cout)
     ki = p.kernels_im.reshape(window, cout)
     rows, pieces = _pieces(xr, kshape, out_shape)
-    c, t, k = _scratch_blocks(xr.dtype, rows * window, rows * cout, kr.size)
+    c, t, k = _scratch_blocks(xr.dtype, rows * window, max(rows * cout, xr[pieces[0]].size), kr.size)
     out_re = np.empty((xr.shape[0], *out_shape, cout), dtype=xr.dtype)
     out_im = np.empty_like(out_re)
     # two passes, so that one kernel-sized block holds Kr - Ki, then Kr + Ki;
-    # out_im holds a between them
+    # out_im holds a between them, and t holds xr - xi, then ci (Kr + Ki)
     k = np.subtract(kr, ki, out=k.reshape(kr.shape))
     for s in pieces:
         re, a = out_re[s].reshape(-1, cout), out_im[s].reshape(-1, cout)
-        np.matmul(_cols(xr[s], kshape, c, np.subtract, xi[s]), ki, out=a)
+        np.matmul(_cols(np.subtract(xr[s], xi[s], out=_view(t, xr[s].shape)), kshape, c), ki, out=a)
         np.matmul(_cols(xr[s], kshape, c), k, out=re)
         re += a
     k = np.add(kr, ki, out=k)
@@ -229,14 +224,15 @@ def conv3d_complex_batch_backward(xr, xi, p: ComplexWeights, dre, dim):
     dkr = np.zeros_like(kr)
     dki = np.zeros_like(ki)
     rows, pieces = _pieces(xr, kshape, dre.shape[1:4])
-    # the column matrices, then dcols' a, share one block; one kernel-sized
-    # block holds each dK product, then Kr + Ki, then Kr - Ki
+    # the column matrices, then dcols' a, share one block; dcols' block first
+    # holds xr + xi, which is no larger; one kernel-sized block holds each dK
+    # product, then Kr + Ki, then Kr - Ki
     ca, dc, g, k = _scratch_blocks(xr.dtype, rows * window, rows * window, rows * cout, kr.size)
     k = k.reshape(kr.shape)
     for s in pieces:
         gr, gi = dre[s].reshape(-1, cout), dim[s].reshape(-1, cout)
         gc = _view(g, gr.shape)
-        a = np.matmul(_cols(xr[s], kshape, ca, np.add, xi[s]).T, gi, out=k)
+        a = np.matmul(_cols(np.add(xr[s], xi[s], out=_view(dc, xr[s].shape)), kshape, ca).T, gi, out=k)
         dkr += a
         dki += a
         dkr += np.matmul(_cols(xr[s], kshape, ca).T, np.subtract(gr, gi, out=gc), out=k)

@@ -558,6 +558,16 @@ def test_malformed_input_exits_2_and_names_field(tmp_path, dataset, capsys, corr
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("top, found", [("[]", "[]"), ("5", "5"), ('"fast"', "'fast'")])
+def test_config_that_is_not_an_object_names_the_file(tmp_path, dataset, capsys, top, found):
+    config = tmp_path / "c.json"
+    config.write_text(top)
+    args = ["train", "--cube", os.path.join(dataset, "cube.json"), "--labels", os.path.join(dataset, "labels.json"),
+            "--config", str(config), "--out", str(tmp_path / "run")]
+    assert main(args) == 2
+    assert f"config {config}: expected an object, got {found}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train", "trial"])
 def test_negative_seed_override_exits_2_and_names_field(tmp_path, dataset, capsys, command):
     args = [command, "--cube", os.path.join(dataset, "cube.json"),

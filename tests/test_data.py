@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import sys
@@ -71,30 +72,38 @@ def test_load_cube_converts_in_one_pass(tmp_path, monkeypatch):
 
 
 def _row_major_pca(pixels, n_components, block=8192):
-    """fit_pca's arithmetic on row-major [n, B] pixels, as it was before
-    fit_pca read band-major pixel blocks: numpy's mean along axis 0,
-    c^T c over row blocks and one projection per row block."""
+    """fit_pca's arithmetic on row-major [n, B] pixels. Per row block: each
+    band's sum, pairwise along its run of the block as numpy sums a
+    contiguous axis; the block centred on its own mean and its scatter
+    c^T c; and the scatter of the block's mean about the mean of the rows
+    before it, with weight p0 k / (p0 + k). Then one projection per row
+    block, centred on the mean of all rows."""
     n, b = pixels.shape
-    mean = pixels.mean(axis=0, dtype=np.float64)
     buf = np.empty((min(n, block), b))
-    blocks = [slice(i, i + block) for i in range(0, n, block)]
+    blocks = [slice(i, min(i + block, n)) for i in range(0, n, block)]
 
-    def centered(rows):
+    def centered(rows, mean):
         part = pixels[rows]
         return np.subtract(part, mean, out=buf[: part.shape[0]])
 
-    cov = np.zeros((b, b))
+    total, cov = np.zeros(b), np.zeros((b, b))
     for rows in blocks:
-        c = centered(rows)
+        p0, k = rows.start, rows.stop - rows.start
+        s = np.ascontiguousarray(pixels[rows].T, dtype=np.float64).sum(axis=1)
+        c = centered(rows, s / k)
         cov += c.T @ c
+        if p0:
+            d = s / k - total / p0
+            cov += np.outer(d, d) * (p0 * k / (p0 + k))
+        total += s
+    mean = total / n
     cov /= n - 1
     vals, vecs = jacobi_eigh(cov)
     components = data._sign_normalize(vecs[:, :n_components])
     reduced = np.empty((n, n_components))
     for rows in blocks:
-        np.matmul(centered(rows), components, out=reduced[rows])
+        np.matmul(centered(rows, mean), components, out=reduced[rows])
     return mean, components, np.maximum(vals, 0.0)[:n_components], reduced
-
 
 
 def sign_normalize_loop(components):
@@ -382,6 +391,38 @@ def test_fit_pca_row_blocks_match_one_shot(monkeypatch):
     ref = centered @ model.components
     assert reduced.shape == (n, 1, 4)
     assert np.abs(reduced.as_array().reshape(n, 4) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_fit_pca_covariance_holds_when_the_mean_dwarfs_the_spread(monkeypatch):
+    # a mean 1e6 times the spread: the textbook sum x x^T - n xbar xbar^T
+    # cancels all but about three of its digits here, a scatter merged
+    # from blocks centred on their own means keeps nearly all of them
+    block = data._PCA_BLOCK_ROWS
+    n, b = 2 * block + 37, 6
+    rng = np.random.default_rng(8)
+    vals = 1e4 + 1e-2 * rng.normal(size=(n, 1, b)) @ np.diag([3.0, 2.0, 1.5, 1.0, 0.5, 0.25])
+    seen = []
+    monkeypatch.setattr(data, "jacobi_eigh", lambda cov: seen.append(cov.copy()) or jacobi_eigh(cov))
+    fit_pca(HsiCube(Tensor.from_array(vals)), 4)
+
+    pixels = vals.reshape(n, b)
+    centered = pixels - np.array([math.fsum(band) for band in pixels.T]) / n
+    cov = centered.T @ centered / (n - 1)
+    assert np.abs(seen[0] - cov).max() <= 1e-11 * np.abs(cov).max()
+
+
+def test_fit_pca_reads_a_loaded_payload_twice(tmp_path, monkeypatch):
+    # one pass for the mean and the covariance, one for the projection;
+    # each pass opens the payload once
+    monkeypatch.setattr(data, "_PCA_BLOCK_ROWS", 64)
+    save_cube(HsiCube(Tensor.from_array(np.random.default_rng(3).normal(size=(20, 10, 8)))),
+              str(tmp_path / "cube.json"))
+    cube = load_cube(str(tmp_path / "cube.json"))
+    opened = []
+    monkeypatch.setattr(data, "open", lambda path, *args, **kw: opened.append(path) or open(path, *args, **kw),
+                        raising=False)
+    fit_pca(cube, 3)
+    assert opened == [str(tmp_path / "cube.raw")] * 2
 
 
 def test_fit_pca_holds_no_centred_copy_of_the_cube():
