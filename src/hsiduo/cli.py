@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import math
 import os
 import sys
@@ -124,15 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _patch_stacks(std_array, rows, cols, patch_size):
-    """Real patches and their band-wise FFTs (re, im), in float32, the
-    model's precision: the FFT is computed in float64 and each stack is
-    rounded once."""
-    import numpy as np
-
+    """Real patches and their band-wise FFTs (re, im), in std_array's
+    precision: float32, the model's, for the cube standardize returns."""
     from . import data, spectral
 
     xr = data.extract_patches_array(std_array, rows, cols, patch_size)
-    return tuple(x.astype(np.float32) for x in (xr, *spectral.bandwise_fft_arrays(xr)))
+    return (xr, *spectral.bandwise_fft_arrays(xr))
 
 
 def build_patchset(std_array, samples, patch_size):
@@ -146,7 +142,8 @@ def build_patchset(std_array, samples, patch_size):
 
 
 def predict_samples(model, std_array, rows, cols, patch_size, chunk=64):
-    """Streamed prediction in float32; returns 1-based class labels.
+    """Streamed prediction in std_array's precision, float32 for the cube
+    standardize returns; returns 1-based class labels.
 
     The weights are model.flat, the values the checkpoint stores, so
     training's test-set report is what `map` of its checkpoint predicts.
@@ -247,14 +244,7 @@ def _load_config(path):
 
     if path is None:
         return ModelConfig()
-    if not os.path.exists(path):
-        raise IngestionError(f"config not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise IngestionError(f"malformed config {path}: {exc}") from exc
-    return ModelConfig.from_json_dict(schema.read(doc, dict, f"config {path}"))
+    return ModelConfig.from_json_dict(schema.load(path, dict, f"config {path}", IngestionError))
 
 
 def _run_inputs(args):

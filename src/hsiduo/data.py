@@ -10,7 +10,6 @@ band 0, then band 1, ...); label maps are uint16 row-major.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import mmap
 import os
@@ -41,8 +40,8 @@ _PCA_BLOCK_ROWS = 8192
 class HsiCube:
     """H x W x B reflectance cube in arbitrary linear units: its values
     (synth_dataset), or the absolute path of its float32 BSQ payload and
-    its shape (load_cube), read again on each pass. Every computation on
-    a cube (PCA and what follows) runs in float64, a block at a time."""
+    its shape (load_cube), read again on each pass. PCA and standardize
+    compute in float64, a block at a time."""
 
     source: object  # a Tensor [H, W, B], or the path of a float32 BSQ payload
     shape: tuple = ()
@@ -178,16 +177,6 @@ _CUBE_DTYPES = {"f32": "<f4"}
 _LABEL_DTYPES = {"u16": "<u2"}
 
 
-def _read_header(header_path: str) -> dict:
-    if not os.path.exists(header_path):
-        raise IngestionError(f"header not found: {header_path}")
-    try:
-        with open(header_path, encoding="utf-8") as fh:
-            return schema.read(json.load(fh), dict, f"header {header_path}", IngestionError)
-    except json.JSONDecodeError as exc:
-        raise IngestionError(f"malformed header {header_path}: {exc}") from exc
-
-
 def _header_field(header: dict, header_path: str, key: str, kind, default=MISSING, meta=None):
     """header[key] read as the JSON type kind; an absent key takes default."""
     return schema.read(header.get(key, default), kind, f"header {header_path}: {key}", IngestionError, meta)
@@ -215,7 +204,7 @@ def load_cube(header_path: str) -> HsiCube:
     path and shape. The payload's size is checked, and its values in one
     pass: a non-finite value raises DataError naming the header and the
     lowest band that holds one."""
-    header = _read_header(header_path)
+    header = schema.load(header_path, dict, f"header {header_path}", IngestionError)
     h, w, b = (_header_field(header, header_path, k, int, meta=at_least(1))
                for k in ("height", "width", "bands"))
     dtype = _header_field(header, header_path, "dtype", str, "f32")
@@ -253,7 +242,7 @@ def save_cube(cube: HsiCube, header_path: str):
 
 
 def load_labels(header_path: str) -> LabelMap:
-    header = _read_header(header_path)
+    header = schema.load(header_path, dict, f"header {header_path}", IngestionError)
     h, w = (_header_field(header, header_path, k, int, meta=at_least(1)) for k in ("height", "width"))
     dtype = _header_field(header, header_path, "dtype", str, "u16")
     if dtype not in _LABEL_DTYPES:
@@ -410,26 +399,47 @@ def fit_pca(cube: HsiCube, n_components: int):
 _DEGENERATE_STD_RATIO = 1e-9
 
 
+# values per row block of standardize's passes: 32 KiB of float64 scratch,
+# and as much again in the buffer a broadcast numpy op allocates
+_STD_BLOCK_VALUES = 4096
+
+
+def _centred_blocks(arr: np.ndarray, mean: np.ndarray):
+    """(rows, block) over arr's pixels in row-major order: block is the
+    [N, P] pixels' rows minus mean, in one held float64 scratch."""
+    flat = arr.reshape(-1, arr.shape[-1])
+    scratch = np.empty((max(1, _STD_BLOCK_VALUES // flat.shape[1]), flat.shape[1]))
+    for r0 in range(0, flat.shape[0], scratch.shape[0]):
+        rows = slice(r0, min(r0 + scratch.shape[0], flat.shape[0]))
+        yield rows, np.subtract(flat[rows], mean, out=scratch[: rows.stop - r0])
+
+
+def standard_scale(reduced: Tensor):
+    """(mean, scale), float64 [P]: each band's mean over all pixels and the
+    divisor that gives it unit std, or 1 for a degenerate band, one whose
+    std is at most 1e-9 of the widest band's. The rule is relative, not
+    `std > 0`, because `jacobi_eigh` stops once the off-diagonal norm is at
+    most 1e-12 of the covariance's Frobenius norm, not at exact zero: PCA
+    of a rank-deficient cube leaves its null bands holding roundoff, and
+    scaling that roundoff to unit variance would feed noise to the model."""
+    arr = reduced.as_array()
+    mean, sq = arr.mean(axis=(0, 1), dtype=np.float64), 0.0
+    for _, c in _centred_blocks(arr, mean):
+        sq += np.square(c, out=c).sum(axis=0)
+    std = np.sqrt(sq / (arr.size // arr.shape[-1]))
+    return mean, np.where(std > _DEGENERATE_STD_RATIO * std.max(initial=0.0), std, 1.0)
+
+
 def standardize(reduced: Tensor) -> Tensor:
-    """Zero-mean unit-std per band over all pixels; degenerate bands are
-    only centered.
-
-    A band is degenerate when its std is at most 1e-9 of the widest
-    band's std. The rule is relative, not `std > 0`, because `jacobi_eigh`
-    stops once the off-diagonal norm is at most 1e-12 of the covariance's
-    Frobenius norm, not at exact zero: PCA of a rank-deficient cube leaves
-    its null bands holding roundoff rather than exact zeros, and scaling
-    that roundoff to unit variance would feed pure noise to the model.
-
-    np.std frees its centred temporary before the output is allocated, so
-    beside the reduced cube one array of its size is live at a time.
-    """
+    """The reduced cube at zero mean and unit std per band (degenerate
+    bands only centred) as a float32 cube, the model's precision: each
+    value is (x - mean) / scale of standard_scale in float64, rounded once."""
     if len(reduced.shape) != 3:
         raise DimensionError(f"standardize expects [H,W,P], got {reduced.shape}")
-    arr = reduced.as_array()
-    mean, std = arr.mean(axis=(0, 1)), arr.std(axis=(0, 1))
-    out = arr - mean
-    out /= np.where(std > _DEGENERATE_STD_RATIO * std.max(initial=0.0), std, 1.0)
+    mean, scale = standard_scale(reduced)
+    out = np.empty(reduced.shape, dtype=np.float32)
+    for rows, c in _centred_blocks(reduced.as_array(), mean):
+        np.divide(c, scale, out=out.reshape(-1, out.shape[-1])[rows])
     out.flags.writeable = False  # Tensor keeps a read-only array without a copy
     return Tensor.from_array(out)
 

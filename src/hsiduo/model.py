@@ -437,16 +437,11 @@ def load_checkpoint(manifest_path: str):
     """Rebuild the model from a manifest; returns (model, class_names).
 
     The layer table must be the one save_checkpoint writes for the
-    manifest's config; the error names the first field that differs.
+    manifest's config; the error names the first field that differs. A
+    parameter holding a NaN or an infinity is refused by name.
     """
     where = f"checkpoint manifest {manifest_path}"
-    if not os.path.exists(manifest_path):
-        raise IngestionError(f"{where}: not found")
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            manifest = schema.read(json.load(fh), dict, where, IngestionError)
-        except json.JSONDecodeError as exc:
-            raise IngestionError(f"{where}: malformed JSON: {exc}") from exc
+    manifest = schema.load(manifest_path, dict, where, IngestionError)
     for key, kind in (("format", str), ("config", dict), ("n_classes", int),
                       ("params_file", str), ("layers", list)):
         schema.read(manifest.get(key, MISSING), kind, f"{where}: {key}", IngestionError)
@@ -479,4 +474,7 @@ def load_checkpoint(manifest_path: str):
             f"checkpoint payload {params_path}: expected {4 * model.flat.size} bytes, found {len(raw)}"
         )
     model.flat[...] = np.frombuffer(raw, dtype="<f4")
+    bad = next((name for name, arr in model.param_entries() if not np.isfinite(arr).all()), None)
+    if bad is not None:
+        raise IngestionError(f"checkpoint payload {params_path}: {bad} holds a NaN or an infinity")
     return model, manifest.get("class_names")

@@ -14,6 +14,7 @@ writes goes through `dump`.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -74,6 +75,19 @@ def read(value, kind, path: str, error=ConfigError, meta=None):
     if test is not None and not test(value):
         raise error(f"{path}: {text}, got {value!r}")
     return value
+
+
+def load(path: str, kind, where: str, error=ConfigError):
+    """The JSON file at path, read as kind; error names where if the file
+    is missing or is not UTF-8 JSON that Python's parser can take."""
+    if not os.path.exists(path):
+        raise error(f"{where}: not found")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, nesting too deep
+        raise error(f"malformed {where}: {exc}") from None
+    return read(doc, kind, where, error)
 
 
 def to_json(value):

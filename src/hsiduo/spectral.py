@@ -51,8 +51,18 @@ class FftPlan:
         idx = ((kt[:, None, :, None] + kt[None, :, None, :]) % n).reshape(n * n, n * n)
         return self.tw_re[idx], self.tw_im[idx]
 
+    @cached_property
+    def dft2_f32(self):
+        """dft2 rounded once to float32, for float32 input."""
+        return tuple(m.astype(np.float32) for m in self.dft2)
+
 
 get_plan = cache(FftPlan)  # one plan per length
+
+
+def _precision(x) -> type:
+    """A transform's float type: float32 for float32 input, else float64."""
+    return np.float32 if x.dtype == np.float32 else np.float64
 
 
 def _complex_matmul(re, im, f_re, f_im):
@@ -87,15 +97,17 @@ def fft2_arrays(re: np.ndarray, im: np.ndarray | None = None):
     """Forward 2D transform over the last two axes, which must be square
     with a power-of-two side; im None is a real input.
 
-    Vectorized over all leading axes. Returns new float64 arrays.
+    Vectorized over all leading axes. Returns new arrays of re's
+    precision: float32 input takes one float32 GEMM per product.
     """
     s = re.shape[-1]
     if re.shape[-2] != s:
         raise DimensionError(f"2D transform needs square trailing axes, got {re.shape}")
-    f_re, f_im = get_plan(s).dft2
+    dtype = _precision(re)
+    f_re, f_im = get_plan(s).dft2 if dtype is np.float64 else get_plan(s).dft2_f32
 
     def rows(x):
-        return None if x is None else np.asarray(x, dtype=np.float64).reshape(-1, s * s)
+        return None if x is None else np.asarray(x, dtype=dtype).reshape(-1, s * s)
 
     out_re, out_im = _complex_matmul(rows(re), rows(im), f_re, f_im)
     return out_re.reshape(re.shape), out_im.reshape(re.shape)
@@ -106,14 +118,15 @@ def bandwise_fft_arrays(patches: np.ndarray):
 
     Bands never mix; the scaling keeps complex-patch magnitudes on the
     same order as the standardized real patch. DC stays at bin (0,0).
-    Returns the (re, im) pair in float64.
+    Returns the (re, im) pair in the patches' precision: float32 for
+    float32 patches, else float64.
     """
     if patches.ndim < 3 or patches.shape[-3] != patches.shape[-2] or not _is_pow2(patches.shape[-3]):
         raise DimensionError(f"bandwise FFT needs square power-of-two [S,S,C] patches, got {patches.shape}")
     s = patches.shape[-3]
     # move bands in front of the two spatial axes, so the stack is one
     # [N*C, S*S] matrix and the transform is one product with kron(F, F)
-    x = np.moveaxis(np.asarray(patches, dtype=np.float64), -1, -3)
+    x = np.moveaxis(np.asarray(patches, dtype=_precision(patches)), -1, -3)
     re, im = fft2_arrays(x)
     # one pass scales (exactly: 1/S^2 is a power of two) and moves the
     # bands back last, in C order as the convolutions read them

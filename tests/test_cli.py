@@ -568,6 +568,44 @@ def test_config_that_is_not_an_object_names_the_file(tmp_path, dataset, capsys, 
     assert f"config {config}: expected an object, got {found}" in capsys.readouterr().err
 
 
+# JSON that Python's parser cannot take: a first byte that is not UTF-8,
+# and nesting deeper than its recursion limit
+UNREADABLE_JSON = {"not-utf8": b'\xff{"height": 16}', "too-deep": b"[" * 100_000 + b"]" * 100_000}
+
+
+@pytest.mark.parametrize("flaw", sorted(UNREADABLE_JSON))
+@pytest.mark.parametrize("kind", ["header", "config", "checkpoint manifest"])
+def test_unreadable_json_input_exits_2_and_names_the_file(tmp_path, dataset, capsys, kind, flaw):
+    inputs = ["--cube", os.path.join(dataset, "cube.json"), "--labels", os.path.join(dataset, "labels.json")]
+    config = write_config(tmp_path, small_config_doc(epochs=1))
+    if kind == "checkpoint manifest":
+        bad = untrained_checkpoint(tmp_path)
+        args = ["map", *inputs, "--checkpoint", bad, "--out", str(tmp_path / "m.ppm")]
+    else:
+        bad = inputs[1] if kind == "header" else config
+        args = ["train", *inputs, "--config", config, "--out", str(tmp_path / "run")]
+    with open(bad, "wb") as fh:
+        fh.write(UNREADABLE_JSON[flaw])
+    assert main(args) == 2
+    assert f"malformed {kind} {bad}: " in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_nan_weight_exits_2_and_names_it(tmp_path, dataset, capsys):
+    # a NaN in head.bias alone: without the check every pixel took class 1
+    ckpt = untrained_checkpoint(tmp_path)
+    manifest = json.load(open(ckpt))
+    entry = next(e for e in manifest["layers"] if e["name"] == "head.bias")
+    payload = os.path.join(os.path.dirname(ckpt), manifest["params_file"])
+    with open(payload, "r+b") as fh:
+        fh.seek(entry["offset"] + 4)
+        fh.write(np.float32(np.nan).tobytes())
+    out = tmp_path / "m.ppm"
+    assert main(["map", "--cube", os.path.join(dataset, "cube.json"), "--labels",
+                 os.path.join(dataset, "labels.json"), "--checkpoint", ckpt, "--out", str(out)]) == 2
+    assert f"checkpoint payload {payload}: head.bias holds a NaN or an infinity" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "trial"])
 def test_negative_seed_override_exits_2_and_names_field(tmp_path, dataset, capsys, command):
     args = [command, "--cube", os.path.join(dataset, "cube.json"),
@@ -815,7 +853,8 @@ def predictor_probs(monkeypatch, net, std, rows, cols, patch_size):
 
 
 # the float32 predictor against the float64 forward of the same weights
-# and unrounded patch stacks: measured at most 7.4e-7 on these scenes
+# on patches of the float64 standardized cube: measured at most 6.5e-7
+# on these scenes
 PROB_BOUND = 1e-5
 # a pixel whose float64 top two classes are closer than this may take
 # either class in float32; perfbench's checks allow the same margin
@@ -861,7 +900,12 @@ def test_float32_prediction_matches_the_float64_forward(monkeypatch, scene):
     assert np.array_equal(labels, np.argmax(got, axis=1) + 1)
     assert np.array_equal(net.flat, flat)
 
-    xr = data.extract_patches_array(std, rows, cols, config.patch_size)
+    # the reference starts from the float64 standardization, which
+    # standardize rounds to float32 once
+    _, reduced = data.fit_pca(cube, config.pca_components)
+    mean, scale = data.standard_scale(reduced)
+    xr = data.extract_patches_array((reduced.as_array() - mean) / scale, rows, cols, config.patch_size)
+    assert xr.dtype == np.float64
     want, _ = float64_twin(net).forward_batch(xr, *bandwise_fft_arrays(xr), cache=False)
     assert want.dtype == np.float64
     assert np.abs(got - want).max() < PROB_BOUND
@@ -873,8 +917,10 @@ def test_float32_prediction_matches_the_float64_forward(monkeypatch, scene):
 
 def test_training_and_prediction_run_in_float32(monkeypatch):
     # every conv kernel, forward and backward, reads float32 inputs and
-    # weights in train.fit's backward, in its validation and in the predictor
-    from hsiduo import cli, layers, train
+    # weights in train.fit's backward, in its validation and in the
+    # predictor; the band-wise FFT reads and returns float32 for the
+    # training and validation sets and for each predictor batch
+    from hsiduo import cli, layers, spectral, train
     from hsiduo.data import stratified_split, synth_dataset
     from hsiduo.model import DualStreamModel, ModelConfig
 
@@ -910,9 +956,17 @@ def test_training_and_prediction_run_in_float32(monkeypatch):
         monkeypatch.setattr(layers, name, recording(name))
     monkeypatch.setattr(train, "backward", in_phase("backward", train.backward))
     monkeypatch.setattr(train, "evaluate_loss_accuracy", in_phase("evaluate", train.evaluate_loss_accuracy))
+    ffts, fft = [], spectral.bandwise_fft_arrays
 
-    net, _ = train.fit(net, cli.build_patchset(std, train_px, config.patch_size),
-                       cli.build_patchset(std, val_px, config.patch_size), config.train)
+    def recording_fft(patches):
+        re, im = fft(patches)
+        ffts.append((phase[0], {a.dtype for a in (patches, re, im)}))
+        return re, im
+    monkeypatch.setattr(spectral, "bandwise_fft_arrays", recording_fft)
+
+    sets = [in_phase(name, cli.build_patchset)(std, px, config.patch_size)
+            for name, px in (("train set", train_px), ("val set", val_px))]
+    net, _ = train.fit(net, *sets, config.train)
     flat = net.flat.copy()
     phase[0] = "predict"
     cli.predict_samples(net, std, test_px.rows, test_px.cols, config.patch_size)
@@ -924,6 +978,8 @@ def test_training_and_prediction_run_in_float32(monkeypatch):
         mine = [c for c in calls if c[0] == name]
         assert {kernel for _, kernel, _ in mine} == called, name
         assert all(dtypes == {np.dtype(np.float32)} for _, _, dtypes in mine), (name, mine)
+    assert [name for name, _ in ffts] == ["train set", "val set"] + ["predict"] * -(-len(test_px) // 64)
+    assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in ffts), ffts
 
 
 def test_class_colors_is_class_color_per_label():
@@ -998,8 +1054,8 @@ def test_map_does_not_hold_the_cube(tmp_path):
                                      str(tmp_path / "labels.json"), "--checkpoint",
                                      str(tmp_path / "checkpoint.json"), "--out", str(tmp_path / "map.ppm")])
     assert code == 0
-    # standardize holds the reduced cube and its standardized copy, and
-    # squares one block at a time: 2 x 8 MiB here, against a 25.75 MiB payload
+    # the reduced cube (8 MiB here) and standardize's float32 output (4 MiB)
+    # fit in two reduced-cube sizes, against a 25.75 MiB payload
     reduced = h * w * config.pca_components * 8
     payload = os.path.getsize(tmp_path / "cube.raw")
     assert rise - 2 * reduced < payload / 2, (rise, reduced, payload)

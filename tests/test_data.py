@@ -130,11 +130,14 @@ def test_sign_normalize_is_bitwise_the_column_loop(b, p, ties, seed):
 
 
 @pytest.mark.parametrize("shape", [(97, 171, 20), (89, 97, 103), "synth", "float64"])
-def test_fit_pca_is_bitwise_the_row_major_arithmetic(tmp_path, shape):
-    # 16,587 and 8,633 pixels: full blocks and a ragged last one. Magnitudes
+def test_fit_pca_is_bitwise_the_row_major_arithmetic(tmp_path, monkeypatch, shape):
+    # 16,587 and 8,633 pixels: full blocks and a ragged last one; the synth
+    # scene's 1,440 pixels in blocks of 600, 600 and 240. Magnitudes
     # spread over eight decades, so that a band's float64 sum rounds and
     # the order of the mean's additions shows in its bits
     rng = np.random.default_rng(7)
+    block = 600 if shape == "synth" else data._PCA_BLOCK_ROWS
+    monkeypatch.setattr(data, "_PCA_BLOCK_ROWS", block)
     if shape == "synth":
         cube = synth_dataset(4, 40, 36, 24, 0.1, 2)[0]
     elif shape == "float64":
@@ -145,7 +148,7 @@ def test_fit_pca_is_bitwise_the_row_major_arithmetic(tmp_path, shape):
         cube = load_cube(str(tmp_path / "cube.json"))
     pixels = cube.values.as_array().reshape(-1, cube.bands)
     pca, reduced = fit_pca(cube, 8)
-    mean, components, variance, ref = _row_major_pca(pixels, 8)
+    mean, components, variance, ref = _row_major_pca(pixels, 8, block)
     assert np.array_equal(pca.mean, mean)
     assert np.array_equal(pca.components, components)
     assert np.array_equal(pca.explained_variance, variance)
@@ -471,24 +474,33 @@ def test_standardize_constant_band_becomes_zero():
     assert np.all(out[:, :, 0] == 0.0)
 
 
+def standardized64(reduced):
+    """The float64 standardization (x - mean) / scale of standard_scale,
+    which standardize rounds to float32."""
+    mean, scale = data.standard_scale(reduced)
+    return (reduced.as_array() - mean) / scale
+
+
 def test_standardize_idempotent():
     rng = np.random.default_rng(5)
     t = Tensor.from_array(rng.normal(2.0, 3.0, size=(6, 7, 3)))
-    once = standardize(t)
-    twice = standardize(once)
-    assert np.abs(twice.data - once.data).max() < 1e-12
+    once = standardized64(t)
+    twice = standardized64(Tensor.from_array(once))
+    assert np.abs(twice - once).max() < 1e-12
+    assert np.array_equal(standardize(t).as_array(), once.astype(np.float32))
 
 
 def test_standardize_matches_two_pass_oracle():
     rng = np.random.default_rng(6)
-    vals = rng.normal(5.0, 2.5, size=(8, 4, 3))
-    out = standardize(Tensor.from_array(vals)).as_array()
+    reduced = Tensor.from_array(rng.normal(5.0, 2.5, size=(8, 4, 3)))
+    out = standardized64(reduced)
     for band in range(3):
         flat = out[:, :, band].reshape(-1)
         mean = sum(flat) / flat.size
         var = sum((x - mean) ** 2 for x in flat) / flat.size
         assert abs(mean) < 1e-10
         assert abs(np.sqrt(var) - 1.0) < 1e-10
+    assert np.array_equal(standardize(reduced).as_array(), out.astype(np.float32))
 
 
 def test_standardize_keeps_pca_roundoff_bands_at_roundoff_scale():
@@ -496,22 +508,45 @@ def test_standardize_keeps_pca_roundoff_bands_at_roundoff_scale():
     # hold only eigensolver roundoff and must not be blown up
     cube, _ = synth_dataset(3, 32, 32, 16, 0.0, 0)
     _, reduced = fit_pca(cube, 16)
-    out = standardize(reduced).as_array()
+    out = standardized64(reduced)
     assert np.abs(out[:, :, 2:]).max() < 1e-9
     assert np.abs(out[:, :, :2].std(axis=(0, 1)) - 1.0).max() < 1e-12
+    assert np.array_equal(standardize(reduced).as_array(), out.astype(np.float32))
+
+
+def row_block_standardization(arr):
+    """standardize's arithmetic written out on row-major [N, P] pixels:
+    the mean over all pixels; the squared deviations summed over each
+    block of _STD_BLOCK_VALUES // P rows, and the block sums added in
+    order; then (x - mean) / scale in float64, rounded to float32.
+    Returns the cube and scale."""
+    flat = arr.reshape(-1, arr.shape[-1])
+    n, p = flat.shape
+    k = max(1, data._STD_BLOCK_VALUES // p)
+    mean = arr.mean(axis=(0, 1))
+    sq = np.zeros(p)
+    for r0 in range(0, n, k):
+        sq += ((flat[r0 : r0 + k] - mean) ** 2).sum(axis=0)
+    std = np.sqrt(sq / n)
+    scale = np.where(std > data._DEGENERATE_STD_RATIO * std.max(), std, 1.0)
+    return ((arr - mean) / scale).astype(np.float32), scale
 
 
 @pytest.mark.parametrize("rank_deficient", [True, False])
-def test_standardize_is_bitwise_the_np_std_form(rank_deficient):
+def test_standardize_is_bitwise_the_row_block_arithmetic(rank_deficient):
+    # 1,024 pixels in four full blocks of 256 rows, or 3,477 pixels in four
+    # full blocks of 819 rows and a ragged fifth; band scales spread over
+    # six decades, so that the order of the additions shows in the bits
     if rank_deficient:  # PCA bands 2-15 hold roundoff and are only centred
         _, reduced = fit_pca(synth_dataset(3, 32, 32, 16, 0.0, 0)[0], 16)
     else:
-        reduced = Tensor.from_array(np.random.default_rng(12).normal(3.0, 2.0, size=(20, 17, 5)))
-    arr = reduced.as_array()
-    std = arr.std(axis=(0, 1))
-    scale = np.where(std > data._DEGENERATE_STD_RATIO * std.max(), std, 1.0)
+        rng = np.random.default_rng(12)
+        reduced = Tensor.from_array(rng.normal(3.0, 2.0, size=(61, 57, 5)) * 10.0 ** rng.uniform(-4, 2, 5))
+    want, scale = row_block_standardization(reduced.as_array())
+    assert np.array_equal(data.standard_scale(reduced)[1], scale)
     out = standardize(reduced).as_array()
-    assert np.array_equal(out, (arr - arr.mean(axis=(0, 1))) / scale)
+    assert out.dtype == np.float32 and out.flags.c_contiguous
+    assert np.array_equal(out, want)
     assert rank_deficient == bool((scale == 1.0).any())
     assert not out.flags.writeable
 
@@ -521,8 +556,8 @@ def test_standardize_holds_only_its_output():
 
     reduced = Tensor.from_array(np.random.default_rng(15).normal(size=(64, 48, 16)))
     out, peak = traced_peak(standardize, reduced)
-    # beyond the output, numpy's reduction buffer (at most 64 KiB); a
-    # square of the whole reduced cube (393 KB) would exceed the bound
+    # beyond the float32 output, a 32 KiB block and numpy's buffers for
+    # it; a square of the whole reduced cube (393 KB) would exceed the bound
     assert peak < out.data.nbytes + 128 * 1024, peak
 
 
@@ -531,8 +566,10 @@ def test_standardize_scales_small_real_band():
     vals = rng.normal(size=(6, 6, 2))
     vals /= vals.std(axis=(0, 1))
     vals[:, :, 1] *= 1e-6  # std 1e-6 next to a std-1 band
-    out = standardize(Tensor.from_array(vals)).as_array()
+    reduced = Tensor.from_array(vals)
+    out = standardized64(reduced)
     assert np.abs(out.std(axis=(0, 1)) - 1.0).max() < 1e-12
+    assert np.array_equal(standardize(reduced).as_array(), out.astype(np.float32))
 
 
 # ---------------------------------------------------------------------------

@@ -229,3 +229,26 @@ def test_even_symmetric_bands_give_real_spectrum():
     patch = 0.5 * (patch + patch[np.ix_(idx, idx)])
     out = bandwise(patch)
     assert np.abs(out.imag).max() < 1e-10
+
+
+
+def test_bandwise_float32_is_within_the_sgemm_bound_of_float64():
+    # Each output bin of a patch band is (1/n) sum_t x_t f_t over its
+    # n = S^2 values, |f_t| <= 1. Float32 input is transformed in float32
+    # with each f_t rounded once (relative error u = 2^-24), and any order
+    # of a float32 dot product of n terms errs by at most
+    # gamma_n sum |x_t f_t|, gamma_n = n u / (1 - n u): together
+    # (n + 1) u / (1 - n u) sum |x_t|. The float64 transform of the same
+    # values errs by at most gamma_n at u = 2^-53, and the 1/S^2 scale is
+    # exact, so each bin lies within (n + 1)(2^-24 + 2^-53) / (1 - n 2^-24)
+    # times its band's mean |x_t| of the float64 one
+    s, n, u = 8, 64, 2.0**-24
+    rng = np.random.default_rng(11)
+    x = (rng.normal(size=(96, s, s, 16)) * 10.0 ** np.linspace(-3, 4, 16)).astype(np.float32)
+    re, im = bandwise_fft_arrays(x)
+    assert re.dtype == im.dtype == np.float32 and re.flags.c_contiguous and im.flags.c_contiguous
+    x64 = x.astype(np.float64)
+    re64, im64 = bandwise_fft_arrays(x64)
+    assert re64.dtype == im64.dtype == np.float64
+    bound = (n + 1) * (u + 2.0**-53) / (1 - n * u) * np.abs(x64).mean(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(re - re64) <= bound) and np.all(np.abs(im - im64) <= bound)
