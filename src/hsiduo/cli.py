@@ -239,12 +239,15 @@ def _write_json(path, doc):
 
 
 def _load_config(path):
-    from .errors import IngestionError
+    from .errors import ConfigError, IngestionError
     from .model import ModelConfig
 
     if path is None:
         return ModelConfig()
-    return ModelConfig.from_json_dict(schema.load(path, dict, f"config {path}", IngestionError))
+    try:
+        return ModelConfig.from_json_dict(schema.load(path, dict, f"config {path}", IngestionError))
+    except ConfigError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
 
 
 def _run_inputs(args):

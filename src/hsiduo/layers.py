@@ -6,10 +6,11 @@ split re/im weights; their arithmetic is the complex multiply-accumulate
 (Kr + i*Ki)(Xr + i*Xi) = (Kr*Xr - Ki*Xi) + i(Kr*Xi + Ki*Xr).
 
 A convolution is one GEMM (Chellapilla, Puri & Simard, 2006): im2col
-lays every window of the input out as a row of a column matrix, taken
-from sliding_window_view, and the matrix times the kernel reshaped to
-[mh*mw*md*Cin, Cout] is the output. The backward pass gives dK as
-cols^T dout and dX as the col2im scatter-add of dout K^T.
+lays every window of the input out as a row of a column matrix, and the
+matrix times the kernel reshaped to [mh*mw*md*Cin, Cout] is the output;
+an input that is one whole window, C-contiguous, is its own column
+matrix. The backward pass gives dK as cols^T dout and dX as the col2im
+scatter-add of dout K^T.
 
 A complex layer is a set of real convolutions (Trabelsi et al., Deep
 Complex Networks, 2018), and each of its three complex products,
@@ -26,11 +27,11 @@ cr + ci are the column matrices of xr - xi and xr + xi, formed once on
 the inputs rather than on their overlapping windows.
 
 Every conv kernel works in one held, grow-only scratch buffer: its
-column matrices (written with np.copyto from the window view), dcols and
-GEMM temporaries (written with matmul(..., out=)) are views of it, so a
-steady-state call allocates only the arrays it returns, and none of
-those is a view of the scratch. The kernels share it, so they are
-single-threaded: one call at a time per process. A batch runs a few
+copied column matrices (written with np.copyto from the window view),
+dcols and GEMM temporaries (written with matmul(..., out=)) are views
+of it, so a steady-state call allocates only the arrays it returns,
+and none of those is a view of the scratch. The kernels share it, so
+they are single-threaded: one call at a time per process. A batch runs a few
 samples at a time, so that each [rows, window] and [rows, Cout] buffer
 is at most _IM2COL_BYTES (or one sample's), and so is a piece of the
 input, never larger than its column matrix; with at most three such
@@ -48,7 +49,7 @@ from math import prod
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError
 
@@ -121,11 +122,15 @@ def _pieces(x, kshape, out_shape):
 
 
 def _cols(x, kshape, block):
-    """im2col of x [n,H,W,D,Cin] into a scratch block: one row per output
-    position (n,h,w,d), one column per window entry (i,j,k,c) in the
-    kernel's order. Returns the [rows, mh*mw*md*Cin] view."""
-    # [n,H',W',D',Cin,mh,mw,md] -> [n,H',W',D',mh,mw,md,Cin]
-    win = sliding_window_view(x, kshape[:3], axis=(1, 2, 3)).transpose(0, 1, 2, 3, 5, 6, 7, 4)
+    """im2col of x [n,H,W,D,Cin]: one row per output position (n,h,w,d),
+    one column per window entry (i,j,k,c) in the kernel's order. Returns
+    the [rows, mh*mw*md*Cin] matrix, copied into the scratch block, or a
+    view of x itself when x is C-contiguous and one whole window."""
+    (n, h, w, d, c), (mh, mw, md), (sn, sh, sw, sd, sc) = x.shape, kshape[:3], x.strides
+    if (h, w, d) == (mh, mw, md) and x.flags.c_contiguous:
+        return x.reshape(n, -1)
+    win = as_strided(x, (n, h - mh + 1, w - mw + 1, d - md + 1, mh, mw, md, c),  # [n,H',W',D',mh,mw,md,Cin]
+                     (sn, sh, sw, sd, sh, sw, sd, sc), writeable=False)
     cols = _view(block, win.shape)
     np.copyto(cols, win)
     return cols.reshape(-1, prod(kshape[:4]))
@@ -274,12 +279,9 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below: both use e^-|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def se_forward_batch(u: np.ndarray, w1: np.ndarray, w2: np.ndarray):

@@ -450,7 +450,10 @@ def load_checkpoint(manifest_path: str):
     config = manifest["config"]
     if type(config.get("train")) is dict:  # the f32 mode is gone; its knob is dropped
         config["train"].pop("precision", None)
-    model = DualStreamModel.build(ModelConfig.from_json_dict(config), manifest["n_classes"])
+    try:
+        model = DualStreamModel.build(schema.read(config, ModelConfig, "config"), manifest["n_classes"])
+    except ConfigError as exc:  # a config field, validate's cross-field checks, or n_classes
+        raise ConfigError(f"{where}: {exc}") from None
 
     expected = _layer_table(model)
     if len(manifest["layers"]) != len(expected):

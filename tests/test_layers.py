@@ -355,6 +355,75 @@ def test_pieces_bound_the_cout_wide_buffers(monkeypatch):
     assert peak - returned <= bound
 
 
+def window_copy_cols(x, kshape):
+    """im2col as sliding_window_view and a copy build it: the
+    [n,H',W',D',Cin,mh,mw,md] windows in the kernel's (i,j,k,c) order."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    win = sliding_window_view(x, kshape[:3], axis=(1, 2, 3)).transpose(0, 1, 2, 3, 5, 6, 7, 4)
+    return np.ascontiguousarray(win).reshape(-1, prod(kshape[:4]))
+
+
+# the default model's three layers, and a (1,1,1) kernel
+COLS_GEOMETRIES = [((8, 8, 16, 1), (3, 3, 16, 1)), ((6, 6, 1, 64), (3, 3, 1, 64)),
+                   ((4, 4, 1, 64), (4, 4, 1, 64)), ((4, 4, 3, 2), (1, 1, 1, 2))]
+
+
+@pytest.mark.parametrize("xshape, kshape", COLS_GEOMETRIES)
+@pytest.mark.parametrize("layout", ["contiguous", "strided batch", "transposed"])
+def test_cols_is_the_window_copy(xshape, kshape, layout):
+    rng = np.random.default_rng(26)
+    h, w, d, c = xshape
+    if layout == "contiguous":
+        x = rng.normal(size=(3, *xshape))
+    elif layout == "strided batch":
+        x = rng.normal(size=(6, *xshape))[::2]
+    else:  # a transposed array: x[..., None] for one channel
+        t = rng.normal(size=(3, d * c, w, h)).transpose(0, 3, 2, 1)
+        x = t[..., None] if c == 1 else t.reshape(3, h, w, d, c)
+    assert x.flags.c_contiguous == (layout == "contiguous")
+    block = np.empty(x.size * prod(kshape[:3]), dtype=x.dtype)
+    assert np.array_equal(layers._cols(x, kshape, block), window_copy_cols(x, kshape))
+
+
+def test_whole_input_window_takes_the_input_as_its_columns():
+    # the default third layer: a 4x4x1 kernel over a 4x4x1 map needs no
+    # copy when the map is C-contiguous, and copies it when it is not
+    kshape = (4, 4, 1, 64)
+    x = np.random.default_rng(27).normal(size=(16, 4, 4, 1, 64))
+    block = np.empty(x.size, dtype=x.dtype)
+    cols = layers._cols(x, kshape, block)
+    assert cols.shape == (16, 1024)
+    assert np.shares_memory(cols, x)
+    assert np.array_equal(cols, window_copy_cols(x, kshape))
+    strided = np.random.default_rng(28).normal(size=(32, 4, 4, 1, 64))[::2]
+    cols = layers._cols(strided, kshape, block)
+    assert np.shares_memory(cols, block) and not np.shares_memory(cols, strided)
+    assert np.array_equal(cols, window_copy_cols(strided, kshape))
+
+
+def masked_sigmoid(x):
+    """The sigmoid's two stable branches, applied through boolean masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+def test_sigmoid_is_bitwise_the_masked_branches(dtype, bits):
+    edge = [np.nan, np.inf, -np.inf, 0.0, -0.0, 90.0, -90.0, 104.0, -104.0, 710.0, -710.0, 1e30, -1e30]
+    x = np.concatenate([np.random.default_rng(29).normal(scale=20.0, size=4000), edge]).astype(dtype)
+    got, want = layers._sigmoid(x), masked_sigmoid(x)
+    assert got.dtype == dtype
+    nan = np.isnan(x)
+    # a NaN stays NaN (its sign bit may differ); every other value is the same bits
+    assert np.isnan(got[nan]).all() and np.isnan(want[nan]).all()
+    assert np.array_equal(got[~nan].view(bits), want[~nan].view(bits))
+
+
 def crelu_through_model(re, im):
     """CReLU as forward_batch applies it after the complex conv: the last
     two fused channels of a one-band pass-through model."""
