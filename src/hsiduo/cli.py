@@ -245,7 +245,9 @@ def _load_config(path):
     if path is None:
         return ModelConfig()
     try:
-        return ModelConfig.from_json_dict(schema.load(path, dict, f"config {path}", IngestionError))
+        config = ModelConfig.from_json_dict(schema.load(path, dict, f"config {path}", IngestionError))
+        config.validate()  # its cross-field checks too name the file
+        return config
     except ConfigError as exc:
         raise ConfigError(f"config {path}: {exc}") from None
 

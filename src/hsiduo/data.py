@@ -34,6 +34,8 @@ def _round_half_up(x: float) -> int:
 # pixels per block of a pass over a cube: a 103-band block of float64
 # pixels is 6.7 MB, against 85 MB for the float32 Pavia-scale payload
 _PCA_BLOCK_ROWS = 8192
+# values per read of a loaded cube's finiteness check: 1 MiB of float32
+_CHECK_CHUNK_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,22 @@ class HsiCube:
             object.__setattr__(self, "shape", self.source.shape)
         if len(self.shape) != 3:
             raise DimensionError(f"cube must be [H,W,B], got {self.shape}")
-        # min and max propagate NaN and an infinity is one of them, so a
-        # block is checked band by band with no block-sized temporary
+        # min and max propagate NaN and an infinity is one of them (initial=0
+        # passes an empty array). A payload is read front to back into an
+        # anonymous mapping: mapped itself, its pages would add to peak RSS
         finite = np.ones(self.bands, dtype=bool)
-        for _, block in self.pixel_blocks(self.block_buffer()):
-            finite &= np.isfinite(block.min(axis=1)) & np.isfinite(block.max(axis=1))
+        if isinstance(self.source, Tensor):
+            arr = self.source.as_array()
+            finite &= np.isfinite(arr.min(axis=(0, 1), initial=0)) & np.isfinite(arr.max(axis=(0, 1), initial=0))
+        else:
+            n, chunk = self.height * self.width, np.frombuffer(mmap.mmap(-1, 4 * _CHECK_CHUNK_VALUES), dtype="<f4")
+            with self._open() as fh:
+                for v0 in range(0, n * self.bands, chunk.size):
+                    part = chunk[: n * self.bands - v0]
+                    if (got := fh.readinto(part)) != part.nbytes:
+                        raise IngestionError(f"payload {self.source}: ended inside band {(v0 + got // 4) // n}")
+                    for band, run in enumerate(np.split(part, range(n - v0 % n, part.size, n)), v0 // n):
+                        finite[band] &= np.isfinite(run.min()) and np.isfinite(run.max())
         if not finite.all():
             raise DataError(f"band {np.argmin(finite)} (counting from 0) of the cube holds a non-finite value")
 

@@ -451,8 +451,13 @@ def load_checkpoint(manifest_path: str):
     if type(config.get("train")) is dict:  # the f32 mode is gone; its knob is dropped
         config["train"].pop("precision", None)
     try:
-        model = DualStreamModel.build(schema.read(config, ModelConfig, "config"), manifest["n_classes"])
-    except ConfigError as exc:  # a config field, validate's cross-field checks, or n_classes
+        config = ModelConfig.from_json_dict(config)
+        config.validate()
+    except ConfigError as exc:  # a config field or validate's cross-field checks
+        raise ConfigError(f"{where}: config.{exc}") from None
+    try:
+        model = DualStreamModel.build(config, manifest["n_classes"])
+    except ConfigError as exc:  # n_classes
         raise ConfigError(f"{where}: {exc}") from None
 
     expected = _layer_table(model)

@@ -531,6 +531,11 @@ def break_config_epochs_text(ckpt, dataset, doc):
     return "train", "config.json: train.epochs: expected an integer, got 'x'"
 
 
+def break_config_kernel_geometry(ckpt, dataset, doc):
+    doc["complex_convs"][0]["kernel"] = [9, 3, 8]  # the patch is 8 wide
+    return "train", "config.json: complex_convs[0]: valid padding exhausts the input"
+
+
 def break_manifest_config_type(ckpt, dataset, doc):
     manifest = json.load(open(ckpt))
     manifest["config"]["dense_widths"] = 5
@@ -542,7 +547,7 @@ def break_manifest_config_geometry(ckpt, dataset, doc):
     manifest = json.load(open(ckpt))
     manifest["config"]["complex_convs"][0]["kernel"] = [9, 3, 8]  # the patch is 8 wide
     json.dump(manifest, open(ckpt, "w"))
-    return "map", f"checkpoint manifest {ckpt}: complex_convs[0]: valid padding exhausts the input"
+    return "map", f"checkpoint manifest {ckpt}: config.complex_convs[0]: valid padding exhausts the input"
 
 
 def break_manifest_one_class(ckpt, dataset, doc):
@@ -558,7 +563,8 @@ def break_manifest_one_class(ckpt, dataset, doc):
      break_layer_offset, break_cube_data_entry, break_labels_data_entry,
      break_config_pca_text, break_config_pca_fraction, break_config_dense_scalar, break_config_se_text,
      break_config_kernel_fraction, break_config_lr_text, break_config_epochs_bool,
-     break_config_epochs_text, break_manifest_config_type, break_manifest_config_geometry,
+     break_config_epochs_text, break_config_kernel_geometry, break_manifest_config_type,
+     break_manifest_config_geometry,
      break_manifest_one_class, break_cube_height_negative, break_cube_width_fraction,
      break_cube_bands_text, break_labels_classes_scalar, break_labels_classes_text, break_labels_classes_short,
      break_config_seed_negative, break_config_lr_infinite, break_config_dropout_nan,

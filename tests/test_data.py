@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -211,6 +212,59 @@ def test_loaded_cube_names_the_lowest_non_finite_band_of_any_block(tmp_path, mon
     payload.tofile(str(tmp_path / "cube.raw"))
     with pytest.raises(DataError, match=r"cube.json: band 2 \(counting from 0\)"):
         load_cube(path)
+
+
+def test_load_cube_reads_the_payload_front_to_back_in_chunks(tmp_path, monkeypatch):
+    h, w, b = 64, 48, 103
+    save_cube(HsiCube(Tensor.from_array(np.ones((h, w, b), dtype=np.float32))), str(tmp_path / "cube.json"))
+    reads = []
+
+    class CountingFile(io.FileIO):
+        def readinto(self, buf):
+            reads.append(self.tell())
+            return super().readinto(buf)
+
+        def read(self, size=-1):
+            reads.append(self.tell())
+            return super().read(size)
+
+    monkeypatch.setattr(data, "open", lambda path, mode, buffering=-1: CountingFile(path, mode), raising=False)
+    load_cube(str(tmp_path / "cube.json"))
+    # the check reads 1 MiB at a time, in file order: 2 reads of this 1.2 MiB
+    # payload, where a band-by-band read of pixel blocks makes 103
+    assert 0 < len(reads) <= math.ceil(4 * h * w * b / 2**20)
+    assert reads == sorted(reads)
+
+
+NON_FINITE = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
+
+
+# a 5 x 6 x 7 cube is 7 bands of 30 values; reads of 20 values end inside
+# band 1 (after value 39) and at the end of band 1 (after value 59)
+@pytest.mark.parametrize("pos", [0, 39, 40, 59, 60, 209], ids=lambda p: f"value{p}")
+@pytest.mark.parametrize("bad", sorted(NON_FINITE))
+def test_the_lowest_non_finite_band_is_named_wherever_it_sits(tmp_path, monkeypatch, bad, pos):
+    monkeypatch.setattr(data, "_CHECK_CHUNK_VALUES", 20)
+    bsq = np.ones(210, dtype=np.float32)
+    bsq[pos] = NON_FINITE[bad]
+    if pos < 180:
+        bsq[-1] = np.nan  # the last band holds one too, and must not be the one named
+    message = rf"band {pos // 30} \(counting from 0\) of the cube holds a non-finite value"
+    with pytest.raises(DataError, match=message):
+        HsiCube(Tensor.from_array(bsq.reshape(7, 5, 6).transpose(1, 2, 0)))
+    save_cube(HsiCube(Tensor.from_array(np.ones((5, 6, 7)))), str(tmp_path / "cube.json"))
+    bsq.tofile(str(tmp_path / "cube.raw"))
+    with pytest.raises(DataError, match="cube.json: " + message):
+        load_cube(str(tmp_path / "cube.json"))
+
+
+def test_a_payload_that_ends_early_while_read_raises(tmp_path, monkeypatch):
+    save_cube(HsiCube(Tensor.from_array(np.ones((5, 6, 7)))), str(tmp_path / "cube.json"))
+    with open(tmp_path / "cube.raw", "r+b") as fh:
+        fh.truncate(4 * 95)  # 3 bands and 5 values
+    monkeypatch.setattr(data, "_check_payload_size", lambda path, expected: None)  # shrunk after the check
+    with pytest.raises(IngestionError, match=r"cube.raw: ended inside band 3"):
+        load_cube(str(tmp_path / "cube.json"))
 
 
 @pytest.mark.parametrize("size", [4 * 6 * 5 * 7 - 4, 4 * 6 * 5 * 7 + 8])
