@@ -53,23 +53,21 @@ def test_cube_roundtrip_bitwise(tmp_path):
     assert (back.height, back.width, back.bands) == (4, 5, 6)
 
 
-def test_load_cube_converts_in_one_pass(tmp_path, monkeypatch):
+def test_load_cube_converts_in_one_pass(tmp_path):
     from test_tensor import traced_peak
 
     rng = np.random.default_rng(1)
     vals = rng.normal(size=(64, 48, 103)).astype(np.float32).astype(np.float64)
     path = str(tmp_path / "cube.json")
     save_cube(HsiCube(Tensor.from_array(vals)), path)
-    block = 1000  # 3,072 pixels: three full blocks and a ragged fourth
-    monkeypatch.setattr(data, "_PCA_BLOCK_ROWS", block)
     cube, peak = traced_peak(load_cube, path)
     arr = cube.values.as_array()
     assert arr.dtype == np.float32 and np.array_equal(arr, vals)
     assert arr.flags.c_contiguous and not arr.flags.writeable
-    # the float64 pixel block is an anonymous mapping, outside tracemalloc's
-    # count; what is left is one float32 staging run and the header, a
-    # bound set by the block whatever the cube's size
-    assert peak < block * 4 + 64 * 1024
+    # the check's 1 MiB read chunk is an anonymous mapping, outside
+    # tracemalloc's count; what is left is the header and the chunk's band
+    # views, a bound whatever the cube's size (this payload is 1.2 MiB)
+    assert peak < 64 * 1024
 
 
 def _row_major_pca(pixels, n_components, block=8192):
@@ -203,12 +201,12 @@ def test_in_memory_cube_names_its_first_non_finite_band():
 
 
 def test_loaded_cube_names_the_lowest_non_finite_band_of_any_block(tmp_path, monkeypatch):
-    monkeypatch.setattr(data, "_PCA_BLOCK_ROWS", 64)
+    monkeypatch.setattr(data, "_CHECK_CHUNK_VALUES", 64)
     path = str(tmp_path / "cube.json")
     save_cube(HsiCube(Tensor.from_array(np.ones((20, 10, 8)))), path)
     payload = np.fromfile(str(tmp_path / "cube.raw"), dtype="<f4").reshape(8, 200)
-    payload[5, 3] = np.nan  # pixel 3, in the first block
-    payload[2, 152] = np.nan  # pixel 152, in the third
+    payload[5, 3] = np.nan  # value 1,003, in read chunk 15
+    payload[2, 152] = np.nan  # value 552, in read chunk 8
     payload.tofile(str(tmp_path / "cube.raw"))
     with pytest.raises(DataError, match=r"cube.json: band 2 \(counting from 0\)"):
         load_cube(path)

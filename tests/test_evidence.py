@@ -20,11 +20,13 @@ def test_a_changed_or_missing_artifact_differs():
     assert evidence.compare(parent, dict(parent))[1]["differ"] == []
 
 
-def test_this_checkout_against_itself_is_byte_identical(tmp_path, capsys):
+def test_this_checkout_against_itself_is_byte_identical(tmp_path, capsys, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(small_config_doc(epochs=1)))
-    args = [REPO, REPO, "--seeds", "1", "--size", "16", "16", "8", "--config", str(config)]
-    assert evidence.main(args) == 0
+    monkeypatch.setattr(evidence, "SEEDS", 1)
+    monkeypatch.setattr(evidence, "SIZE", (16, 16, 8))
+    monkeypatch.setattr(evidence, "CONFIG", str(config))
+    assert evidence.main([REPO, REPO]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     summary = json.loads(lines[-1])
     # per noise: synth's 5 files, train's 4, trial's 2 x 4 and its report, 2 maps

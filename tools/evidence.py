@@ -1,13 +1,12 @@
 """Whether two checkouts write byte-identical artifacts.
 
-    python3 tools/evidence.py PARENT_DIR CHANGE_DIR [--seeds N] [--size H W B] [--config FILE]
+    python3 tools/evidence.py PARENT_DIR CHANGE_DIR
 
-For each synth seed 0 .. N-1 (default 5) at noise 0.1 and 0, each
-checkout's CLI runs, in fresh processes with 1 BLAS thread: `synth`,
-then `train --threads 1`, `trial --threads 1 --repeats 2`, `map` and
-`map --full` on that synth output and train's checkpoint. `--size`
-sets synth's scene (default 32 32 16, the desk scene) and `--config`
-the train and trial config (default: the built-in one).
+For each synth seed 0 .. SEEDS-1 at noise 0.1 and 0, each checkout's
+CLI runs, in fresh processes with 1 BLAS thread: `synth` at SIZE (the
+desk scene), then `train --threads 1`, `trial --threads 1 --repeats 2`,
+`map` and `map --full` on that synth output and train's checkpoint,
+train and trial with the built-in config.
 
 It prints every artifact's sha256 on both sides and whether they match,
 skipping the time-stamped `run_manifest.json`, then one JSON line, and
@@ -24,6 +23,9 @@ import subprocess
 import sys
 import tempfile
 
+SEEDS = 5
+SIZE = (32, 32, 16)  # synth's height, width and bands
+CONFIG = None  # a config JSON for train and trial; None: the built-in one
 NOISES = ("0.1", "0")
 SKIPPED = "run_manifest.json"  # holds the time it was written
 
@@ -84,13 +86,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--seeds", type=int, default=5, help="synth seeds 0 .. N-1")
-    ap.add_argument("--size", type=int, nargs=3, default=(32, 32, 16), metavar=("H", "W", "B"))
-    ap.add_argument("--config", default=None, help="config JSON for train and trial")
     args = ap.parse_args(argv)
-    config = os.path.abspath(args.config) if args.config else None
+    config = os.path.abspath(CONFIG) if CONFIG else None
     with tempfile.TemporaryDirectory() as work:
-        sides = [run_checkout(checkout, os.path.join(work, side), args.seeds, args.size, config)
+        sides = [run_checkout(checkout, os.path.join(work, side), SEEDS, SIZE, config)
                  for side, checkout in (("parent", args.parent), ("change", args.change))]
     rows, summary = compare(*sides)
     for path, a, b, same in rows:
