@@ -2,8 +2,8 @@
 trials, and classification-map rendering.
 
 Exit codes: 0 success, 2 usage/validation problem, 3 numeric failure.
-Heavy imports are deferred until after thread setup so --threads (or the
-HSIDUO_THREADS env var) can pin the BLAS pool before numpy loads.
+Heavy imports are deferred until after argument parsing so --threads can
+pin the BLAS pool before numpy loads.
 """
 
 from __future__ import annotations
@@ -56,27 +56,26 @@ def class_colors(labels):
     return np.array(PALETTE, dtype=np.uint8)[_palette_index(labels)]
 
 
-def _setup_threads(argv):
-    """Pin BLAS/OpenMP pools before numpy is imported anywhere; returns an
-    error message, and sets nothing, if the count is not an integer >= 1.
+def _at_least(lo):
+    """argparse type: an integer >= lo."""
 
-    This only sets environment variables, which the pools read when numpy
-    loads. The pin therefore applies only when hsiduo is the process entry
-    point (`python -m hsiduo`); a caller that has already imported numpy
-    keeps the thread counts it started with.
-    """
-    source, threads = "HSIDUO_THREADS", os.environ.get("HSIDUO_THREADS")
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            source, threads = "--threads", argv[i + 1]
-        elif arg.startswith("--threads="):
-            source, threads = "--threads", arg.split("=", 1)[1]
-    if threads and not (threads.isdecimal() and int(threads) >= 1):
-        return f"error: {source} must be an integer >= 1, got {threads!r}"
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = threads
-    return None
+    def integer(text):
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return integer
+
+
+def _finite_non_negative(text):
+    """argparse type: a finite number >= 0."""
+    try:
+        if math.isfinite(value := float(text)) and value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,14 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("synth", help="generate a synthetic cube + labels")
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--height", type=int, default=32)
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--bands", type=int, default=16)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--classes", type=_at_least(2), default=3)
+    p.add_argument("--height", type=_at_least(1), default=32)
+    p.add_argument("--width", type=_at_least(1), default=32)
+    p.add_argument("--bands", type=_at_least(1), default=16)
+    p.add_argument("--noise", type=_finite_non_negative, default=0.1)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_at_least(1), default=None)
 
     for name in ("train", "trial"):
         p = sub.add_parser(name, help=f"{name} on a cube/labels pair")
@@ -104,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="config JSON path (defaults used if omitted)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", required=True)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=_at_least(1), default=None)
         if name == "trial":
-            p.add_argument("--repeats", type=int, default=10)
+            p.add_argument("--repeats", type=_at_least(1), default=10)
 
     p = sub.add_parser("map", help="render a classification map from a checkpoint")
     p.add_argument("--cube", required=True)
@@ -114,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="checkpoint manifest JSON")
     p.add_argument("--out", required=True, help="output PPM path")
     p.add_argument("--full", action="store_true", help="predict every pixel, not only labeled ones")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_at_least(1), default=None)
     return parser
 
 
@@ -316,15 +315,11 @@ def write_ppm(path, rgb):
 
 def cmd_synth(args) -> int:
     from .data import save_cube, save_labels, synth_dataset
+    from .errors import ConfigError
 
-    for flag, value, lo in (("--classes", args.classes, 2), ("--height", args.height, 1),
-                            ("--width", args.width, 1), ("--bands", args.bands, 1), ("--seed", args.seed, 0)):
-        if value < lo:
-            print(f"error: {flag} must be >= {lo}, got {value}", file=sys.stderr)
-            return 2
-    if not (math.isfinite(args.noise) and args.noise >= 0):
-        print(f"error: --noise must be a finite number >= 0, got {args.noise}", file=sys.stderr)
-        return 2
+    h, w, b = args.height, args.width, args.bands
+    if 8 * h * w * b > sys.maxsize:  # numpy refuses the float64 scene outright
+        raise ConfigError(f"--height {h} --width {w} --bands {b}: a cube larger than numpy can allocate")
     cube, label_map = synth_dataset(
         args.classes, args.height, args.width, args.bands, args.noise, args.seed
     )
@@ -362,9 +357,6 @@ def cmd_trial(args) -> int:
     aggregate `trials` block (nothing is written before the first run)."""
     from . import metrics
 
-    if args.repeats < 1:
-        print("error: --repeats must be >= 1", file=sys.stderr)
-        return 2
     config, master_seed, cube, label_map = _run_inputs(args)
     seeds = [master_seed + i for i in range(args.repeats)]
     reports = []
@@ -425,24 +417,23 @@ def cmd_map(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    error = _setup_threads(argv)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    if "--emit-default-config" in argv:
-        from .model import ModelConfig
-
-        schema.dump(ModelConfig().to_json_dict(), sys.stdout)
-        return 0
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.emit_default_config:
+        from .model import ModelConfig
+
+        schema.dump(ModelConfig().to_json_dict(), sys.stdout)
+        return 0
     if args.command is None:
         parser.print_help()
         return 2
+    if args.threads is not None:
+        # read when numpy loads: a caller that has already imported it keeps its pools
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = str(args.threads)
 
     from .errors import HsiduoError, NumericError
 

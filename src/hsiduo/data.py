@@ -304,7 +304,10 @@ def _round_robin_perm(m: int) -> np.ndarray:
     return perm
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 64):
+_JACOBI_TOL, _JACOBI_SWEEPS = 1e-12, 64
+
+
+def jacobi_eigh(matrix: np.ndarray):
     """Eigendecomposition of a symmetric matrix by Jacobi rotations in
     parallel (Brent-Luk round-robin) order.
 
@@ -316,9 +319,9 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 64):
     and is dropped at the end.
 
     Sweeps stop once the off-diagonal Frobenius norm, summed directly over
-    the strict upper triangle, is at most tol x ||A||_F. The tolerance is
-    relative, so scaling the matrix does not change the iteration; a zero
-    matrix returns at once.
+    the strict upper triangle, is at most _JACOBI_TOL x ||A||_F, or after
+    _JACOBI_SWEEPS sweeps. The tolerance is relative, so scaling the matrix
+    does not change the iteration; a zero matrix returns at once.
 
     Returns (eigenvalues desc, eigenvectors as columns in matching order).
     """
@@ -332,8 +335,8 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 64):
     v = np.eye(m)
     perm = _round_robin_perm(m)
     upper = np.triu_indices(m, 1)
-    bound = tol * float(np.sqrt((a * a).sum()))
-    for _ in range(max_sweeps):
+    bound = _JACOBI_TOL * float(np.sqrt((a * a).sum()))
+    for _ in range(_JACOBI_SWEEPS):
         if math.sqrt(2.0 * float(np.square(a[upper]).sum())) <= bound:
             break
         for _ in range(m - 1):
@@ -485,15 +488,13 @@ def extract_patches_array(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray, p
 # stratified split
 
 
-def stratified_split(
-    label_map: LabelMap,
-    train_frac: float = 0.01,
-    val_frac_of_train: float = 0.10,
-    seed: int = 0,
-):
-    """Per-class sampling: max(2, round(train_frac * n_c)) pixels form the
-    training pool, of which max(1, round(val_frac * pool)) become the
-    validation slice; everything else is test."""
+_TRAIN_FRAC, _VAL_FRAC_OF_TRAIN = 0.01, 0.10  # the protocol's 1% / 10% split
+
+
+def stratified_split(label_map: LabelMap, seed: int = 0):
+    """Per-class sampling: max(2, round(_TRAIN_FRAC * n_c)) pixels form the
+    training pool, of which max(1, round(_VAL_FRAC_OF_TRAIN * pool)) become
+    the validation slice; everything else is test."""
     labels = label_map.labels
     classes = sorted(int(c) for c in np.unique(labels) if c != 0)
     if not classes:
@@ -505,8 +506,8 @@ def stratified_split(
         n_c = coords.shape[0]
         if n_c < 3:  # at least one pixel each for train, val and test
             raise DataError(f"class {cls} has {n_c} labeled pixel(s); need at least 3")
-        pool = min(max(2, _round_half_up(train_frac * n_c)), n_c)
-        n_val = min(max(1, _round_half_up(val_frac_of_train * pool)), pool - 1)
+        pool = min(max(2, _round_half_up(_TRAIN_FRAC * n_c)), n_c)
+        n_val = min(max(1, _round_half_up(_VAL_FRAC_OF_TRAIN * pool)), pool - 1)
         perm = rng.permutation(n_c)
         selected = coords[perm[:pool]]
         rest = coords[perm[pool:]]

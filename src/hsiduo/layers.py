@@ -259,7 +259,8 @@ def conv3d_complex_batch_backward(xr, xi, p: ComplexWeights, dre, dim):
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+    """ReLU in place: x becomes its own activation."""
+    return np.maximum(x, 0.0, out=x)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -289,22 +290,21 @@ def se_forward_batch(u: np.ndarray, w1: np.ndarray, w2: np.ndarray):
     z = mean over H*W, gate s = sigmoid(w2 relu(w1 z)) in (0,1), output
     u * s per channel. Returns the output and the cache for backward."""
     z = u.mean(axis=(1, 2))
-    a1 = z @ w1.T
-    h = relu(a1)
+    h = relu(z @ w1.T)
     s = _sigmoid(h @ w2.T)
     out = u * s[:, None, None, :]
-    return out, (z, a1, h, s)
+    return out, (z, h, s)
 
 
 def se_backward_batch(u: np.ndarray, w1: np.ndarray, w2: np.ndarray, cache, dout: np.ndarray):
-    z, a1, h, s = cache
+    z, h, s = cache
     hw = u.shape[1] * u.shape[2]
     du_direct = dout * s[:, None, None, :]
     ds = (dout * u).sum(axis=(1, 2))
     da2 = ds * s * (1.0 - s)
     dw2 = da2.T @ h
     dh = da2 @ w2
-    da1 = dh * (a1 > 0)
+    da1 = dh * (h > 0)  # h > 0 exactly where w1 z > 0
     dw1 = da1.T @ z
     dz = da1 @ w1
     du = du_direct + dz[:, None, None, :] / hw

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import MISSING, dataclass, field
 
 import numpy as np
@@ -103,6 +104,15 @@ class ModelConfig:
             )
         if self.se_enabled and (cf := self.fused_channels()) % self.se_ratio != 0:
             raise ConfigError(f"se_ratio: {self.se_ratio} does not divide fused channels {cf}")
+        # numpy refuses outright a buffer of more than sys.maxsize bytes; name
+        # the layer whose parameters pass it, the head counted at 2 classes
+        paths = [f"{key}[{i}]" for key in ("real_convs", "complex_convs") for i in range(len(getattr(self, key)))]
+        paths += ["se_ratio"] * self.se_enabled + [f"dense_widths[{i}]" for i in range(len(self.dense_widths))]
+        total = 0
+        for path, (_, decls) in zip(paths + ["dense_widths"], _param_table(self, 2)):
+            total += sum(math.prod(shape) for _, shape, _ in decls)
+            if 4 * total > sys.maxsize:
+                raise ConfigError(f"{path}: takes the model past {sys.maxsize} bytes, more than numpy can allocate")
         self.train.validate()
 
     # -- serialization ------------------------------------------------
@@ -249,14 +259,14 @@ class DualStreamModel:
 
         a = xr[..., None]
         for kernels, bias in w["real_conv"]:
-            out = _relu(layers.conv3d_real_batch(a, kernels, bias))
+            out = layers.relu(layers.conv3d_real_batch(a, kernels, bias))
             if cache:
                 store["real"].append((a, out))
             a = out
 
         ar, ai = xc_re[..., None], xc_im[..., None]
         for p in w["cplx_conv"]:
-            out_re, out_im = map(_relu, layers.conv3d_complex_batch(ar, ai, p))
+            out_re, out_im = map(layers.relu, layers.conv3d_complex_batch(ar, ai, p))
             if cache:
                 store["cplx"].append((ar, ai, out_re, out_im))
             ar, ai = out_re, out_im
@@ -271,7 +281,7 @@ class DualStreamModel:
 
         h = se_out.reshape(n, -1)
         for i, (weights, bias) in enumerate(w["dense"]):
-            out = _relu(layers.dense_batch(h, weights, bias))
+            out = layers.relu(layers.dense_batch(h, weights, bias))
             mask = None
             if training and self.config.dropout_rate > 0.0:
                 rng = np.random.default_rng(np.random.SeedSequence(list(dropout_seed or (0,)) + [i]))
@@ -375,11 +385,6 @@ class DualStreamModel:
         if not np.all(np.isfinite(cache["probs"])):
             return "head"
         return "loss"
-
-
-def _relu(x: np.ndarray) -> np.ndarray:
-    """ReLU in place: x becomes its own activation."""
-    return np.maximum(x, 0.0, out=x)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from .errors import ConfigError, DataError, DimensionError, NumericError
 from .schema import above, at_least
 
 LOG_CLAMP = 1e-12
+# evaluate_loss_accuracy sums the loss per batch: another batch changes val_loss in its last bits
+_EVAL_BATCH = 256
 
 
 @dataclass
@@ -86,17 +88,15 @@ def backward(model, batch, targets, training=False, dropout_seed=None, grad=None
 # elements per block of the Adam update: its five float32 operands (128 KiB each)
 # stay in cache across the update's passes
 _ADAM_BLOCK = 1 << 15
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class AdamState:
     """First/second moment buffers laid out like the parameter buffer, the
     step counter, and one block of scratch for the update."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
@@ -121,7 +121,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState):
     if grad.shape != params.shape:
         raise DimensionError(f"gradient: shape {grad.shape} != parameters {params.shape}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
     p, g, m, v = (a.reshape(-1) for a in (params, grad, state.m, state.v))
     for lo in range(0, p.size, _ADAM_BLOCK):
@@ -133,7 +133,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState):
         vb *= b2
         vb += np.multiply(np.multiply(gb, gb, out=tmp), 1.0 - b2, out=tmp)
         den = np.sqrt(np.divide(vb, c2, out=gb), out=gb)
-        den += state.eps
+        den += _ADAM_EPS
         step = np.multiply(np.divide(mb, c1, out=tmp), state.lr, out=tmp)
         p[block] -= np.divide(step, den, out=tmp)
     return params, state
@@ -161,14 +161,14 @@ class PatchSet:
         return out
 
 
-def evaluate_loss_accuracy(model, data: PatchSet, batch_size: int = 256):
+def evaluate_loss_accuracy(model, data: PatchSet):
     """(mean loss, accuracy) of a model over a patch set, eval mode."""
     n = len(data)
     total_loss = 0.0
     correct = 0
     onehot = data.onehot(model.n_classes)
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
+    for lo in range(0, n, _EVAL_BATCH):
+        hi = min(lo + _EVAL_BATCH, n)
         probs, _ = model.forward_batch(data.xr[lo:hi], data.xc_re[lo:hi], data.xc_im[lo:hi], cache=False)
         total_loss += _cross_entropy_sum(probs, onehot[lo:hi])
         correct += int((np.argmax(probs, axis=1) == data.labels[lo:hi] - 1).sum())

@@ -89,28 +89,30 @@ def test_synth_rejects_single_class(tmp_path, capsys):
 def test_synth_rejects_bad_scene_flag(tmp_path, capsys, flag, value):
     out = tmp_path / "x"
     assert main(["synth", flag, value, "--out", str(out)]) == 2
-    assert f"error: {flag} must be" in capsys.readouterr().err
+    assert f"argument {flag}: must be" in capsys.readouterr().err
     assert not out.exists()
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@pytest.mark.parametrize("flags, env, source", [
-    (["--threads", "0"], None, "--threads"),
-    (["--threads=-4"], None, "--threads"),
-    ([], "abc", "HSIDUO_THREADS"),
-], ids=["flag-0", "flag=-4", "env-abc"])
-def test_bad_thread_count_exits_2_and_sets_nothing(tmp_path, capsys, monkeypatch, flags, env, source):
-    for var in ("HSIDUO_THREADS", *THREAD_VARS):
+@pytest.mark.parametrize("flags", [["--threads", "0"], ["--threads=-4"]], ids=["flag-0", "flag=-4"])
+def test_bad_thread_count_exits_2_and_sets_nothing(tmp_path, capsys, monkeypatch, flags):
+    for var in THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    if env is not None:
-        monkeypatch.setenv("HSIDUO_THREADS", env)
     out = tmp_path / "x"
     assert main(["synth", *flags, "--out", str(out)]) == 2
-    assert f"error: {source} must be an integer >= 1" in capsys.readouterr().err
+    assert "argument --threads: must be >= 1" in capsys.readouterr().err
     assert not any(var in os.environ for var in THREAD_VARS)
     assert not out.exists()
+
+
+def test_thread_count_sets_every_pool_variable(tmp_path, monkeypatch):
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "1")  # registered, so teardown restores each
+    assert main(["synth", "--height", "8", "--width", "8", "--bands", "4", "--threads", "2",
+                 "--out", str(tmp_path / "x")]) == 0
+    assert [os.environ.get(var) for var in THREAD_VARS] == ["2", "2", "2"]
 
 
 def test_synth_output_loads_back(dataset):
@@ -226,6 +228,14 @@ def test_trial_whose_first_run_fails_leaves_no_output(tmp_path, dataset, monkeyp
     assert main(["trial", "--cube", os.path.join(dataset, "cube.json"),
                  "--labels", os.path.join(dataset, "labels.json"), "--out", str(out)]) == 3
     assert "dense0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trial_with_no_repeats_exits_2_and_writes_nothing(tmp_path, dataset, capsys):
+    out = tmp_path / "trials"
+    assert main(["trial", "--cube", os.path.join(dataset, "cube.json"), "--labels", os.path.join(dataset, "labels.json"),
+                 "--repeats", "0", "--out", str(out)]) == 2
+    assert "argument --repeats: must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -550,6 +560,23 @@ def break_manifest_config_geometry(ckpt, dataset, doc):
     return "map", f"checkpoint manifest {ckpt}: config.complex_convs[0]: valid padding exhausts the input"
 
 
+def break_config_channels_unallocatable(ckpt, dataset, doc):
+    doc["real_convs"][2]["channels"] = 2**62  # more float32 parameters than numpy allocates
+    return "train", "config.json: real_convs[2]: takes the model past"
+
+
+def break_manifest_channels_unallocatable(ckpt, dataset, doc):
+    manifest = json.load(open(ckpt))
+    manifest["config"]["real_convs"][2]["channels"] = 2**62
+    json.dump(manifest, open(ckpt, "w"))
+    return "map", f"checkpoint manifest {ckpt}: config.real_convs[2]: takes the model past"
+
+
+def break_synth_size_unallocatable(ckpt, dataset, doc):
+    side = str(2**40)  # a 2**80-pixel scene, more than numpy allocates
+    return f"synth --height {side} --width {side}", f"--height {side} --width {side} --bands 16: a cube larger"
+
+
 def break_manifest_one_class(ckpt, dataset, doc):
     manifest = json.load(open(ckpt))
     manifest["n_classes"] = 1
@@ -564,7 +591,8 @@ def break_manifest_one_class(ckpt, dataset, doc):
      break_config_pca_text, break_config_pca_fraction, break_config_dense_scalar, break_config_se_text,
      break_config_kernel_fraction, break_config_lr_text, break_config_epochs_bool,
      break_config_epochs_text, break_config_kernel_geometry, break_manifest_config_type,
-     break_manifest_config_geometry,
+     break_manifest_config_geometry, break_config_channels_unallocatable,
+     break_manifest_channels_unallocatable, break_synth_size_unallocatable,
      break_manifest_one_class, break_cube_height_negative, break_cube_width_fraction,
      break_cube_bands_text, break_labels_classes_scalar, break_labels_classes_text, break_labels_classes_short,
      break_config_seed_negative, break_config_lr_infinite, break_config_dropout_nan,
@@ -577,9 +605,11 @@ def test_malformed_input_exits_2_and_names_field(tmp_path, dataset, capsys, corr
     inputs = ["--cube", os.path.join(dataset, "cube.json"), "--labels", os.path.join(dataset, "labels.json")]
     if command == "map":
         args = ["map", *inputs, "--checkpoint", ckpt, "--out", str(tmp_path / "m.ppm")]
-    else:
+    elif command == "train":
         config = write_config(tmp_path, doc)
         args = ["train", *inputs, "--config", config, "--out", str(tmp_path / "run")]
+    else:  # a synth command line
+        args = [*command.split(), "--out", str(tmp_path / "synth")]
     assert main(args) == 2
     assert field in capsys.readouterr().err
 

@@ -32,7 +32,7 @@ def conv_complex(xr, xi, p):
 
 def se_single(u, w1, w2):
     """se_forward_batch on one [H,W,C] map: (output, squeeze z, gate s)."""
-    out, (z, _, _, s) = se_forward_batch(u[None], w1, w2)
+    out, (z, _, s) = se_forward_batch(u[None], w1, w2)
     return out[0], z[0], s[0]
 
 
@@ -448,7 +448,7 @@ def test_crelu_idempotent_and_real_axis():
     assert np.array_equal(once[0], twice[0]) and np.array_equal(once[1], twice[1])
     x = rng.normal(size=(4, 2, 2, 1))
     on_axis = crelu_through_model(x, np.zeros_like(x))
-    assert np.array_equal(on_axis[0], relu(x))
+    assert np.array_equal(on_axis[0], relu(x.copy()))
     assert np.all(on_axis[1] == 0)
 
 
@@ -457,7 +457,7 @@ def test_fuse_streams_zero_complex():
     real = rng.normal(size=(1, 2, 2, 3))
     fused = fusion_cache(real, np.zeros((1, 2, 2, 3)), np.zeros((1, 2, 2, 3)), complex_bands=2)["fused"]
     assert fused.shape == (1, 2, 2, 7)
-    assert np.array_equal(fused[..., :3], relu(real))
+    assert np.array_equal(fused[..., :3], relu(real.copy()))
     assert np.all(fused[..., 3:] == 0)
 
 

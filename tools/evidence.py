@@ -51,7 +51,6 @@ def run_checkout(checkout, out, seeds, size, config):
     each artifact by its path relative to out."""
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(checkout), "src"),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    env.pop("HSIDUO_THREADS", None)
     h, w, b = size
     for seed in range(seeds):
         for noise in NOISES:
