@@ -1,20 +1,23 @@
-"""Command-line entry point: dataset synthesis, training, repeated
-trials, and classification-map rendering.
+"""The commands hsiduo.__main__ runs (synth, train, trial, map) and the
+pipeline they share.
 
-Exit codes: 0 success, 2 usage/validation problem, 3 numeric failure.
-Heavy imports are deferred until after argument parsing so --threads can
-pin the BLAS pool before numpy loads.
+Other hsiduo modules are called through their module attributes
+(data.fit_pca, model.load_checkpoint, train.fit, ...), and predict_samples
+and write_ppm through this module's globals, so a wrapper set on any of
+them is seen.
 """
 
 from __future__ import annotations
 
-import argparse
 import datetime
-import math
 import os
 import sys
+from dataclasses import replace
 
-from . import schema
+import numpy as np
+
+from . import data, metrics, model, schema, spectral, train
+from .errors import ConfigError, DataError, IngestionError
 
 # class 0 is black; classes cycle through the remaining 16 entries
 PALETTE = (
@@ -51,70 +54,7 @@ def class_color(cls: int):
 def class_colors(labels):
     """class_color of every entry of an integer array, as uint8 [..., 3]:
     one index into the palette, not a call per pixel."""
-    import numpy as np
-
     return np.array(PALETTE, dtype=np.uint8)[_palette_index(labels)]
-
-
-def _at_least(lo):
-    """argparse type: an integer >= lo."""
-
-    def integer(text):
-        value = int(text)  # argparse reports a ValueError as "invalid integer value"
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
-        return value
-
-    return integer
-
-
-def _finite_non_negative(text):
-    """argparse type: a finite number >= 0."""
-    try:
-        if math.isfinite(value := float(text)) and value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hsiduo",
-        description="dual-branch real/complex HSI classifier harness",
-    )
-    parser.add_argument("--emit-default-config", action="store_true", help="print the default config JSON and exit")
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("synth", help="generate a synthetic cube + labels")
-    p.add_argument("--classes", type=_at_least(2), default=3)
-    p.add_argument("--height", type=_at_least(1), default=32)
-    p.add_argument("--width", type=_at_least(1), default=32)
-    p.add_argument("--bands", type=_at_least(1), default=16)
-    p.add_argument("--noise", type=_finite_non_negative, default=0.1)
-    p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=_at_least(1), default=None)
-
-    for name in ("train", "trial"):
-        p = sub.add_parser(name, help=f"{name} on a cube/labels pair")
-        p.add_argument("--cube", required=True)
-        p.add_argument("--labels", required=True)
-        p.add_argument("--config", default=None, help="config JSON path (defaults used if omitted)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", required=True)
-        p.add_argument("--threads", type=_at_least(1), default=None)
-        if name == "trial":
-            p.add_argument("--repeats", type=_at_least(1), default=10)
-
-    p = sub.add_parser("map", help="render a classification map from a checkpoint")
-    p.add_argument("--cube", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--checkpoint", required=True, help="checkpoint manifest JSON")
-    p.add_argument("--out", required=True, help="output PPM path")
-    p.add_argument("--full", action="store_true", help="predict every pixel, not only labeled ones")
-    p.add_argument("--threads", type=_at_least(1), default=None)
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -124,46 +64,36 @@ def build_parser() -> argparse.ArgumentParser:
 def _patch_stacks(std_array, rows, cols, patch_size):
     """Real patches and their band-wise FFTs (re, im), in std_array's
     precision: float32, the model's, for the cube standardize returns."""
-    from . import data, spectral
-
     xr = data.extract_patches_array(std_array, rows, cols, patch_size)
     return (xr, *spectral.bandwise_fft_arrays(xr))
 
 
 def build_patchset(std_array, samples, patch_size):
     """Patch stacks plus labels for a sample set."""
-    import numpy as np
-
-    from .train import PatchSet
-
     stacks = _patch_stacks(std_array, samples.rows, samples.cols, patch_size)
-    return PatchSet(*stacks, np.asarray(samples.labels, dtype=np.int32))
+    return train.PatchSet(*stacks, np.asarray(samples.labels, dtype=np.int32))
 
 
-def predict_samples(model, std_array, rows, cols, patch_size, chunk=64):
+def predict_samples(net, std_array, rows, cols, patch_size, chunk=64):
     """Streamed prediction in std_array's precision, float32 for the cube
     standardize returns; returns 1-based class labels.
 
-    The weights are model.flat, the values the checkpoint stores, so
+    The weights are net.flat, the values the checkpoint stores, so
     training's test-set report is what `map` of its checkpoint predicts.
     The conv kernels run a batch a few samples at a time (50 at the first
     layer, 28 at the second, at the default shapes), so a batch of 64
     holds a quarter of batch 256's patch stacks and activations at about
     the same speed (see README)."""
-    import numpy as np
-
     out = np.zeros(rows.shape[0], dtype=np.int32)
     for lo in range(0, rows.shape[0], chunk):
         hi = min(lo + chunk, rows.shape[0])
         stacks = _patch_stacks(std_array, rows[lo:hi], cols[lo:hi], patch_size)
-        out[lo:hi] = model.predict_batch(*stacks) + 1
+        out[lo:hi] = net.predict_batch(*stacks) + 1
     return out
 
 
 def _check_scene(cube, label_map):
     """The label map must cover the cube pixel for pixel."""
-    from .errors import DataError
-
     if (label_map.height, label_map.width) != (cube.height, cube.width):
         raise DataError(
             f"labels: {label_map.height}x{label_map.width} label map does not match "
@@ -174,10 +104,8 @@ def _check_scene(cube, label_map):
 def _standardized(cube, n_components):
     """The cube reduced to n_components by PCA and standardized, as the
     array that patches are cut from."""
-    from .data import fit_pca, standardize  # at call time, so a wrapper set on data is seen
-
-    _, reduced = fit_pca(cube, n_components)
-    return standardize(reduced).as_array()
+    _, reduced = data.fit_pca(cube, n_components)
+    return data.standardize(reduced).as_array()
 
 
 def run_training(cube, label_map, config, seed: int):
@@ -186,16 +114,6 @@ def run_training(cube, label_map, config, seed: int):
     Returns (model, history, report_dict, class_names). Every input check,
     the split's class sizes included, comes before any work.
     """
-    from dataclasses import replace
-
-    import numpy as np
-
-    from . import metrics
-    from .data import stratified_split
-    from .errors import DataError
-    from .model import DualStreamModel
-    from .train import fit
-
     config.validate()
     train_cfg = replace(config.train, seed=seed)
     train_cfg.validate()  # a --seed override meets the config's bound
@@ -205,17 +123,17 @@ def run_training(cube, label_map, config, seed: int):
     n_classes = label_map.n_classes
     class_names = list(label_map.class_names) or [f"class_{c}" for c in range(1, n_classes + 1)]
 
-    train_samples, val_samples, test_samples = stratified_split(label_map, seed=seed)
+    train_samples, val_samples, test_samples = data.stratified_split(label_map, seed=seed)
     std_array = _standardized(cube, config.pca_components)
     train_ps = build_patchset(std_array, train_samples, config.patch_size)
     val_ps = build_patchset(std_array, val_samples, config.patch_size)
 
-    model = DualStreamModel.build(
+    net = model.DualStreamModel.build(
         config, n_classes, rng=np.random.default_rng(np.random.SeedSequence([seed, 0x1D17]))
     )
-    model, history = fit(model, train_ps, val_ps, train_cfg)
+    net, history = train.fit(net, train_ps, val_ps, train_cfg)
 
-    pred = predict_samples(model, std_array, test_samples.rows, test_samples.cols, config.patch_size)
+    pred = predict_samples(net, std_array, test_samples.rows, test_samples.cols, config.patch_size)
     cm = metrics.ConfusionMatrix.from_predictions(test_samples.labels, pred, n_classes)
     report = {
         "classes": class_names,
@@ -229,7 +147,7 @@ def run_training(cube, label_map, config, seed: int):
         "n_test": len(test_samples),
         "seed": seed,
     }
-    return model, history, report, class_names
+    return net, history, report, class_names
 
 
 def _write_json(path, doc):
@@ -238,13 +156,10 @@ def _write_json(path, doc):
 
 
 def _load_config(path):
-    from .errors import ConfigError, IngestionError
-    from .model import ModelConfig
-
     if path is None:
-        return ModelConfig()
+        return model.ModelConfig()
     try:
-        config = ModelConfig.from_json_dict(schema.load(path, dict, f"config {path}", IngestionError))
+        config = model.ModelConfig.from_json_dict(schema.load(path, dict, f"config {path}", IngestionError))
         config.validate()  # its cross-field checks too name the file
         return config
     except ConfigError as exc:
@@ -254,30 +169,24 @@ def _load_config(path):
 def _run_inputs(args):
     """A train or trial run's config, seed (--seed over the config's), cube
     and label map."""
-    from .data import load_cube, load_labels
-
     config = _load_config(args.config)
     seed = args.seed if args.seed is not None else config.train.seed
-    return config, seed, load_cube(args.cube), load_labels(args.labels)
+    return config, seed, data.load_cube(args.cube), data.load_labels(args.labels)
 
 
-def _write_run(out, model, history, report, class_names):
+def _write_run(out, net, history, report, class_names):
     """One run's checkpoint, history and report, in the directory out."""
-    from .model import save_checkpoint
-
     os.makedirs(out, exist_ok=True)
-    save_checkpoint(model, os.path.join(out, "checkpoint.json"), class_names)
+    model.save_checkpoint(net, os.path.join(out, "checkpoint.json"), class_names)
     _write_json(os.path.join(out, "history.json"), history)
     _write_json(os.path.join(out, "report.json"), report)
 
 
 def _run_manifest(args, seed, config, outputs, **extra):
-    from .model import config_hash
-
     return {
         "command": args.command,
         "seed": seed,
-        "config_hash": config_hash(config),
+        "config_hash": model.config_hash(config),
         "inputs": {"cube": os.path.abspath(args.cube), "labels": os.path.abspath(args.labels)},
         "outputs": outputs,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -285,24 +194,8 @@ def _run_manifest(args, seed, config, outputs, **extra):
     }
 
 
-def _check_out(out, directory):
-    """Fail before any work if --out cannot take the output: the nearest
-    existing ancestor of a run directory (train, trial, synth), or the
-    parent of a map image that is no directory, must be a writable directory."""
-    path = os.path.abspath(out)
-    if not directory and os.path.isdir(path):
-        raise IsADirectoryError(f"--out {out} is a directory")
-    path = path if directory else os.path.dirname(path)
-    while directory and not os.path.exists(path):
-        path = os.path.dirname(path)
-    if not (os.path.isdir(path) and os.access(path, os.W_OK)):
-        raise OSError(f"--out {out}: {path} is not a writable directory")
-
-
 def write_ppm(path, rgb):
     """P6 binary image; rgb is [H, W, 3] uint8."""
-    import numpy as np
-
     h, w = rgb.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
@@ -314,18 +207,15 @@ def write_ppm(path, rgb):
 
 
 def cmd_synth(args) -> int:
-    from .data import save_cube, save_labels, synth_dataset
-    from .errors import ConfigError
-
     h, w, b = args.height, args.width, args.bands
     if 8 * h * w * b > sys.maxsize:  # numpy refuses the float64 scene outright
         raise ConfigError(f"--height {h} --width {w} --bands {b}: a cube larger than numpy can allocate")
-    cube, label_map = synth_dataset(
+    cube, label_map = data.synth_dataset(
         args.classes, args.height, args.width, args.bands, args.noise, args.seed
     )
     os.makedirs(args.out, exist_ok=True)
-    save_cube(cube, os.path.join(args.out, "cube.json"))
-    save_labels(label_map, os.path.join(args.out, "labels.json"))
+    data.save_cube(cube, os.path.join(args.out, "cube.json"))
+    data.save_labels(label_map, os.path.join(args.out, "labels.json"))
     _write_json(
         os.path.join(args.out, "synth_manifest.json"),
         {
@@ -344,8 +234,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config, seed, cube, label_map = _run_inputs(args)
-    model, history, report, class_names = run_training(cube, label_map, config, seed)
-    _write_run(args.out, model, history, report, class_names)
+    net, history, report, class_names = run_training(cube, label_map, config, seed)
+    _write_run(args.out, net, history, report, class_names)
     outputs = {"checkpoint": "checkpoint.json", "history": "history.json", "report": "report.json"}
     _write_json(os.path.join(args.out, "run_manifest.json"), _run_manifest(args, seed, config, outputs))
     return 0
@@ -355,14 +245,12 @@ def cmd_trial(args) -> int:
     """`--repeats` runs at seeds --seed, --seed + 1, ..., each written to
     trial_XX/ as train writes one run; then the best run's report with the
     aggregate `trials` block (nothing is written before the first run)."""
-    from . import metrics
-
     config, master_seed, cube, label_map = _run_inputs(args)
     seeds = [master_seed + i for i in range(args.repeats)]
     reports = []
     for i, seed in enumerate(seeds):
-        model, history, report, class_names = run_training(cube, label_map, config, seed)
-        _write_run(os.path.join(args.out, f"trial_{i:02d}"), model, history, report, class_names)
+        net, history, report, class_names = run_training(cube, label_map, config, seed)
+        _write_run(os.path.join(args.out, f"trial_{i:02d}"), net, history, report, class_names)
         reports.append(report)
 
     trials = metrics.aggregate_trials(reports)
@@ -383,16 +271,10 @@ def cmd_trial(args) -> int:
 
 
 def cmd_map(args) -> int:
-    import numpy as np
-
-    from .data import load_cube, load_labels
-    from .errors import ConfigError
-    from .model import load_checkpoint
-
-    model, _ = load_checkpoint(args.checkpoint)
-    config = model.config
-    cube = load_cube(args.cube)
-    label_map = load_labels(args.labels)
+    net, _ = model.load_checkpoint(args.checkpoint)
+    config = net.config
+    cube = data.load_cube(args.cube)
+    label_map = data.load_labels(args.labels)
     _check_scene(cube, label_map)
     if config.pca_components > cube.bands:
         raise ConfigError(
@@ -410,44 +292,7 @@ def cmd_map(args) -> int:
         coords = np.argwhere(label_map.labels != 0)
         rows, cols = coords[:, 0], coords[:, 1]
     if rows.size:
-        pred = predict_samples(model, std_array, rows, cols, config.patch_size)
+        pred = predict_samples(net, std_array, rows, cols, config.patch_size)
         rgb[rows, cols] = class_colors(pred)
     write_ppm(args.out, rgb)
     return 0
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.emit_default_config:
-        from .model import ModelConfig
-
-        schema.dump(ModelConfig().to_json_dict(), sys.stdout)
-        return 0
-    if args.command is None:
-        parser.print_help()
-        return 2
-    if args.threads is not None:
-        # read when numpy loads: a caller that has already imported it keeps its pools
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
-    from .errors import HsiduoError, NumericError
-
-    handlers = {"synth": cmd_synth, "train": cmd_train, "trial": cmd_trial, "map": cmd_map}
-    try:
-        _check_out(args.out, directory=args.command != "map")
-        return handlers[args.command](args)
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except (HsiduoError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

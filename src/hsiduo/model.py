@@ -104,15 +104,7 @@ class ModelConfig:
             )
         if self.se_enabled and (cf := self.fused_channels()) % self.se_ratio != 0:
             raise ConfigError(f"se_ratio: {self.se_ratio} does not divide fused channels {cf}")
-        # numpy refuses outright a buffer of more than sys.maxsize bytes; name
-        # the layer whose parameters pass it, the head counted at 2 classes
-        paths = [f"{key}[{i}]" for key in ("real_convs", "complex_convs") for i in range(len(getattr(self, key)))]
-        paths += ["se_ratio"] * self.se_enabled + [f"dense_widths[{i}]" for i in range(len(self.dense_widths))]
-        total = 0
-        for path, (_, decls) in zip(paths + ["dense_widths"], _param_table(self, 2)):
-            total += sum(math.prod(shape) for _, shape, _ in decls)
-            if 4 * total > sys.maxsize:
-                raise ConfigError(f"{path}: takes the model past {sys.maxsize} bytes, more than numpy can allocate")
+        _param_count(_param_table(self, 2))  # the head counted at 2 classes
         self.train.validate()
 
     # -- serialization ------------------------------------------------
@@ -135,36 +127,48 @@ def config_hash(config: ModelConfig) -> str:
 
 def _param_table(config: ModelConfig, n_classes: int) -> list:
     """Every parameter, declared once in checkpoint and rng order, grouped
-    by layer: [(kind, [(name, shape, glorot), ...]), ...]. glorot is the
-    (fan_in, fan_out, scale) of a drawn weight and None for a bias, which
-    starts at zero and draws nothing. A complex weight is two real arrays,
-    re then im, each at scale 1/sqrt(2) so the expected modulus variance
-    matches the real initialization."""
+    by layer: [(kind, path, [(name, shape, glorot), ...]), ...]. path is
+    the config field that sizes the layer (n_classes for the head). glorot
+    is the (fan_in, fan_out, scale) of a drawn weight and None for a bias,
+    which starts at zero and draws nothing. A complex weight is two real
+    arrays, re then im, each at scale 1/sqrt(2) so the expected modulus
+    variance matches the real initialization."""
     table = []
-    for kind, convs, parts, scale in (
-        ("real_conv", config.real_convs, ("",), 1.0),
-        ("cplx_conv", config.complex_convs, ("_re", "_im"), 1.0 / np.sqrt(2.0)),
+    for kind, key, parts, scale in (
+        ("real_conv", "real_convs", ("",), 1.0),
+        ("cplx_conv", "complex_convs", ("_re", "_im"), 1.0 / np.sqrt(2.0)),
     ):
         cin = 1
-        for i, spec in enumerate(convs):
+        for i, spec in enumerate(getattr(config, key)):
             taps = math.prod(spec.kernel)
             glorot = (taps * cin, taps * spec.channels, scale)
             kernels = (*spec.kernel, cin, spec.channels)
-            table.append((kind, [(f"{kind}{i}.kernels{p}", kernels, glorot) for p in parts]
+            table.append((kind, f"{key}[{i}]", [(f"{kind}{i}.kernels{p}", kernels, glorot) for p in parts]
                           + [(f"{kind}{i}.bias{p}", (spec.channels,), None) for p in parts]))
             cin = spec.channels
     cf = config.fused_channels()
     if config.se_enabled:
         red = cf // config.se_ratio
-        table.append(("se", [("se.w1", (red, cf), (cf, red, 1.0)), ("se.w2", (cf, red), (red, cf, 1.0))]))
+        table.append(("se", "se_ratio", [("se.w1", (red, cf), (cf, red, 1.0)), ("se.w2", (cf, red), (red, cf, 1.0))]))
     rh, rw = config.stack_geometry(config.real_convs)[-1][:2]
     n_in = rh * rw * cf
-    denses = [("dense", f"dense{i}", width) for i, width in enumerate(config.dense_widths)]
-    for kind, prefix, width in denses + [("head", "head", n_classes)]:
-        table.append((kind, [(f"{prefix}.weights", (width, n_in), (n_in, width, 1.0)),
-                             (f"{prefix}.bias", (width,), None)]))
+    denses = [("dense", f"dense_widths[{i}]", f"dense{i}", width) for i, width in enumerate(config.dense_widths)]
+    for kind, path, prefix, width in denses + [("head", "n_classes", "head", n_classes)]:
+        table.append((kind, path, [(f"{prefix}.weights", (width, n_in), (n_in, width, 1.0)),
+                                   (f"{prefix}.bias", (width,), None)]))
         n_in = width
     return table
+
+
+def _param_count(table) -> int:
+    """The number of parameters in a _param_table. A ConfigError names the
+    field of the layer that takes them past the sys.maxsize bytes numpy allocates."""
+    total = 0
+    for _, path, decls in table:
+        total += sum(math.prod(shape) for _, shape, _ in decls)
+        if 4 * total > sys.maxsize:
+            raise ConfigError(f"{path}: takes the model past {sys.maxsize} bytes, more than numpy can allocate")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +190,7 @@ class DualStreamModel:
         self.config = config
         self.n_classes = n_classes
         self._table = _param_table(config, n_classes)
-        self.flat = np.zeros(sum(math.prod(s) for _, decls in self._table for _, s, _ in decls),
-                             dtype=np.float32)
+        self.flat = np.zeros(_param_count(self._table), dtype=np.float32)
 
     @staticmethod
     def build(config: ModelConfig, n_classes: int, rng: np.random.Generator | None = None) -> "DualStreamModel":
@@ -195,7 +198,7 @@ class DualStreamModel:
         drawn in float64 and rounded as they are written into `flat`."""
         model = DualStreamModel(config, n_classes)
         if rng is not None:
-            decls = [decl for _, layer in model._table for decl in layer]
+            decls = [decl for _, _, layer in model._table for decl in layer]
             for (_, arr), (_, shape, glorot) in zip(model.param_entries(), decls):
                 if glorot is not None:
                     arr[...] = layers.glorot_uniform(rng, shape, *glorot)
@@ -208,7 +211,7 @@ class DualStreamModel:
         or into a buffer laid out like them, such as a gradient."""
         buf = self.flat if buf is None else buf
         out, end = [], 0
-        for _, decls in self._table:
+        for _, _, decls in self._table:
             for name, shape, _ in decls:
                 start, end = end, end + math.prod(shape)
                 out.append((name, buf[start:end].reshape(shape)))
@@ -219,7 +222,7 @@ class DualStreamModel:
         [views per layer]}, a complex conv's as one layers.ComplexWeights."""
         entries = iter(self.param_entries(buf))
         out = {kind: [] for kind in ("real_conv", "cplx_conv", "se", "dense", "head")}
-        for kind, decls in self._table:
+        for kind, _, decls in self._table:
             views = [next(entries)[1] for _ in decls]
             out[kind].append(layers.ComplexWeights(*views) if kind == "cplx_conv" else views)
         return out

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from hsiduo.cli import main
+from hsiduo.__main__ import main
 from hsiduo.metrics import ConfusionMatrix, aa, kappa, oa, per_class
 from hsiduo.tensor import Tensor
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hsiduo.cli import main
+from hsiduo.__main__ import main
 
 
 def read(path):
@@ -113,6 +113,49 @@ def test_thread_count_sets_every_pool_variable(tmp_path, monkeypatch):
     assert main(["synth", "--height", "8", "--width", "8", "--bands", "4", "--threads", "2",
                  "--out", str(tmp_path / "x")]) == 0
     assert [os.environ.get(var) for var in THREAD_VARS] == ["2", "2", "2"]
+
+
+def test_entry_point_pins_the_pools_before_numpy_loads(tmp_path):
+    """In a fresh interpreter, importing hsiduo.__main__ loads no numpy, and
+    `--threads 1` has set OPENBLAS_NUM_THREADS (preset to 2) when numpy's
+    first import reads it."""
+    import subprocess
+    import sys
+
+    script = (
+        "import os, sys\n"
+        "sys.path.insert(0, 'src')\n"
+        "from hsiduo.__main__ import main\n"
+        "assert 'numpy' not in sys.modules, 'importing hsiduo.__main__ loaded numpy'\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "print(main(sys.argv[1:]), *seen)\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    args = ["synth", "--height", "8", "--width", "8", "--bands", "4", "--threads", "1", "--out", str(tmp_path / "x")]
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=root, capture_output=True, text=True,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="2"), timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
+
+
+def test_console_script_runs_the_module_entry_point():
+    """pyproject's `hsiduo` script resolves to the main that `python -m
+    hsiduo` runs; no test installs the package, so nothing else would see
+    a stale target."""
+    import importlib
+
+    import hsiduo.__main__
+
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        module, _, attr = tomllib.load(fh)["project"]["scripts"]["hsiduo"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is hsiduo.__main__.main
 
 
 def test_synth_output_loads_back(dataset):
@@ -577,6 +620,13 @@ def break_synth_size_unallocatable(ckpt, dataset, doc):
     return f"synth --height {side} --width {side}", f"--height {side} --width {side} --bands 16: a cube larger"
 
 
+def break_manifest_classes_unallocatable(ckpt, dataset, doc):
+    manifest = json.load(open(ckpt))
+    manifest["n_classes"] = 2**62  # a head with more float32 weights than numpy allocates
+    json.dump(manifest, open(ckpt, "w"))
+    return "map", f"checkpoint manifest {ckpt}: n_classes: takes the model past"
+
+
 def break_manifest_one_class(ckpt, dataset, doc):
     manifest = json.load(open(ckpt))
     manifest["n_classes"] = 1
@@ -593,7 +643,7 @@ def break_manifest_one_class(ckpt, dataset, doc):
      break_config_epochs_text, break_config_kernel_geometry, break_manifest_config_type,
      break_manifest_config_geometry, break_config_channels_unallocatable,
      break_manifest_channels_unallocatable, break_synth_size_unallocatable,
-     break_manifest_one_class, break_cube_height_negative, break_cube_width_fraction,
+     break_manifest_classes_unallocatable, break_manifest_one_class, break_cube_height_negative, break_cube_width_fraction,
      break_cube_bands_text, break_labels_classes_scalar, break_labels_classes_text, break_labels_classes_short,
      break_config_seed_negative, break_config_lr_infinite, break_config_dropout_nan,
      break_config_conv_unknown_key],
@@ -1105,7 +1155,7 @@ def test_map_does_not_hold_the_cube(tmp_path):
     save_labels(LabelMap(labels), str(tmp_path / "labels.json"))
     config = ModelConfig()
     save_checkpoint(DualStreamModel.build(config, 3, rng=rng), str(tmp_path / "checkpoint.json"))
-    script = "start = peak()\ncode = cli.main(sys.argv[1:])\nprint(code, peak() - start)\n"
+    script = "from hsiduo.__main__ import main\nstart = peak()\ncode = main(sys.argv[1:])\nprint(code, peak() - start)\n"
     code, rise = run_measured(script, ["map", "--cube", str(tmp_path / "cube.json"), "--labels",
                                      str(tmp_path / "labels.json"), "--checkpoint",
                                      str(tmp_path / "checkpoint.json"), "--out", str(tmp_path / "map.ppm")])
@@ -1131,7 +1181,8 @@ def test_train_prediction_does_not_set_the_peak(tmp_path):
         "    after_fit = peak()\n"
         "    return out\n"
         "train.fit = measured_fit\n"
-        "code = cli.main(sys.argv[1:])\n"
+        "from hsiduo.__main__ import main\n"
+        "code = main(sys.argv[1:])\n"
         "print(code, peak() - after_fit)\n"
     )
     code, rise = run_measured(script, ["train", "--cube", str(tmp_path / "desk" / "cube.json"), "--labels",

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsiduo.cli import main
+from hsiduo.__main__ import main
 from test_cli import small_config_doc
 
 # each input file and the other file of its pair
