@@ -118,9 +118,12 @@ def run_training(cube, label_map, config, seed: int):
     train_cfg = replace(config.train, seed=seed)
     train_cfg.validate()  # a --seed override meets the config's bound
     _check_scene(cube, label_map)
-    if label_map.n_classes < 2:
-        raise DataError(f"need at least 2 labeled classes, found {label_map.n_classes}")
     n_classes = label_map.n_classes
+    if n_classes < 2:
+        raise DataError(f"need at least 2 labeled classes, found {n_classes}")
+    gaps = np.flatnonzero(np.bincount(label_map.labels.ravel())[1:] == 0)
+    if gaps.size:  # the class would have no test pixel for AA to average
+        raise DataError(f"labels: class {gaps[0] + 1} has no labeled pixel")
     class_names = list(label_map.class_names) or [f"class_{c}" for c in range(1, n_classes + 1)]
 
     train_samples, val_samples, test_samples = data.stratified_split(label_map, seed=seed)
@@ -210,9 +213,7 @@ def cmd_synth(args) -> int:
     h, w, b = args.height, args.width, args.bands
     if 8 * h * w * b > sys.maxsize:  # numpy refuses the float64 scene outright
         raise ConfigError(f"--height {h} --width {w} --bands {b}: a cube larger than numpy can allocate")
-    cube, label_map = data.synth_dataset(
-        args.classes, args.height, args.width, args.bands, args.noise, args.seed
-    )
+    cube, label_map = data.synth_dataset(args.classes, h, w, b, args.noise, args.seed)
     os.makedirs(args.out, exist_ok=True)
     data.save_cube(cube, os.path.join(args.out, "cube.json"))
     data.save_labels(label_map, os.path.join(args.out, "labels.json"))
@@ -220,12 +221,7 @@ def cmd_synth(args) -> int:
         os.path.join(args.out, "synth_manifest.json"),
         {
             "command": "synth",
-            "classes": args.classes,
-            "height": args.height,
-            "width": args.width,
-            "bands": args.bands,
-            "noise": args.noise,
-            "seed": args.seed,
+            **{key: getattr(args, key) for key in ("classes", "height", "width", "bands", "noise", "seed")},
             "outputs": {"cube": "cube.json", "labels": "labels.json"},
         },
     )

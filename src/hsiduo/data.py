@@ -186,10 +186,6 @@ class SampleSet:
 # file io
 
 
-_CUBE_DTYPES = {"f32": "<f4"}
-_LABEL_DTYPES = {"u16": "<u2"}
-
-
 def _header_field(header: dict, header_path: str, key: str, kind, default=MISSING, meta=None):
     """header[key] read as the JSON type kind; an absent key takes default."""
     return schema.read(header.get(key, default), kind, f"header {header_path}: {key}", IngestionError, meta)
@@ -221,7 +217,7 @@ def load_cube(header_path: str) -> HsiCube:
     h, w, b = (_header_field(header, header_path, k, int, meta=at_least(1))
                for k in ("height", "width", "bands"))
     dtype = _header_field(header, header_path, "dtype", str, "f32")
-    if dtype not in _CUBE_DTYPES:
+    if dtype != "f32":
         raise IngestionError(f"unknown cube dtype {dtype!r} in {header_path}")
     if _header_field(header, header_path, "interleave", str, "bsq") != "bsq":
         raise IngestionError(f"header {header_path}: interleave: only 'bsq' is supported")
@@ -258,10 +254,10 @@ def load_labels(header_path: str) -> LabelMap:
     header = schema.load(header_path, dict, f"header {header_path}", IngestionError)
     h, w = (_header_field(header, header_path, k, int, meta=at_least(1)) for k in ("height", "width"))
     dtype = _header_field(header, header_path, "dtype", str, "u16")
-    if dtype not in _LABEL_DTYPES:
+    if dtype != "u16":
         raise IngestionError(f"unknown label dtype {dtype!r} in {header_path}")
     classes = _header_field(header, header_path, "classes", list[str], [])
-    labels = np.fromfile(_payload_path(header_path, header, h * w * 2), dtype=_LABEL_DTYPES[dtype])
+    labels = np.fromfile(_payload_path(header_path, header, h * w * 2), dtype="<u2")
     label_map = LabelMap(labels.reshape(h, w), tuple(classes))
     # a list may name classes the map does not hold, but not fewer than it does
     if classes and len(classes) < label_map.n_classes:
@@ -500,7 +496,7 @@ def stratified_split(label_map: LabelMap, seed: int = 0):
     if not classes:
         raise DataError("stratified_split: no labeled pixels")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11]))
-    parts = {"train": [], "val": [], "test": []}
+    roles = ([], [], [])  # train, val, test: [row, col, class] per pixel
     for cls in classes:
         coords = np.argwhere(labels == cls)  # row-major order
         n_c = coords.shape[0]
@@ -508,26 +504,11 @@ def stratified_split(label_map: LabelMap, seed: int = 0):
             raise DataError(f"class {cls} has {n_c} labeled pixel(s); need at least 3")
         pool = min(max(2, _round_half_up(_TRAIN_FRAC * n_c)), n_c)
         n_val = min(max(1, _round_half_up(_VAL_FRAC_OF_TRAIN * pool)), pool - 1)
-        perm = rng.permutation(n_c)
-        selected = coords[perm[:pool]]
-        rest = coords[perm[pool:]]
-        parts["train"].append((selected[: pool - n_val], cls))
-        parts["val"].append((selected[pool - n_val :], cls))
-        parts["test"].append((rest, cls))
-
-    def build(role):
-        rows, cols, labs = [], [], []
-        for coords, cls in parts[role]:
-            rows.append(coords[:, 0])
-            cols.append(coords[:, 1])
-            labs.append(np.full(coords.shape[0], cls, dtype=np.int32))
-        return SampleSet(
-            np.concatenate(rows).astype(np.int32),
-            np.concatenate(cols).astype(np.int32),
-            np.concatenate(labs),
-        )
-
-    return build("train"), build("val"), build("test")
+        keyed = np.column_stack([coords, np.full(n_c, cls)])[rng.permutation(n_c)]
+        for role, part in zip(roles, np.split(keyed, [pool - n_val, pool])):
+            role.append(part)
+    # each set's rows, cols and labels: C-contiguous int32
+    return tuple(SampleSet(*np.concatenate(role).T.astype(np.int32, order="C")) for role in roles)
 
 
 # ---------------------------------------------------------------------------

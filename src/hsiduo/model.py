@@ -180,7 +180,8 @@ class DualStreamModel:
 
     Every parameter is a view into one flat float32 buffer, `flat`, taken
     afresh on each use. The checkpoint stores `flat` bit for bit, and
-    training and prediction both compute in float32.
+    training and prediction both compute in float32. The constructor's
+    parameters are all zero; build draws them.
     """
 
     def __init__(self, config: ModelConfig, n_classes: int):
@@ -193,15 +194,14 @@ class DualStreamModel:
         self.flat = np.zeros(_param_count(self._table), dtype=np.float32)
 
     @staticmethod
-    def build(config: ModelConfig, n_classes: int, rng: np.random.Generator | None = None) -> "DualStreamModel":
-        """Construct with Glorot-initialized weights (zeros when rng is None),
-        drawn in float64 and rounded as they are written into `flat`."""
+    def build(config: ModelConfig, n_classes: int, rng: np.random.Generator) -> "DualStreamModel":
+        """Construct with Glorot-initialized weights, drawn in float64 and
+        rounded as they are written into `flat`; the biases stay zero."""
         model = DualStreamModel(config, n_classes)
-        if rng is not None:
-            decls = [decl for _, _, layer in model._table for decl in layer]
-            for (_, arr), (_, shape, glorot) in zip(model.param_entries(), decls):
-                if glorot is not None:
-                    arr[...] = layers.glorot_uniform(rng, shape, *glorot)
+        decls = [decl for _, _, layer in model._table for decl in layer]
+        for (_, arr), (_, shape, glorot) in zip(model.param_entries(), decls):
+            if glorot is not None:
+                arr[...] = layers.glorot_uniform(rng, shape, *glorot)
         return model
 
     # -- parameters ----------------------------------------------------
@@ -237,10 +237,11 @@ class DualStreamModel:
 
     # -- forward and backward ------------------------------------------
 
-    def forward_batch(self, xr, xc_re, xc_im, training=False, dropout_seed=None, cache=True):
+    def forward_batch(self, xr, xc_re, xc_im, dropout_seed=None, cache=True):
         """Probabilities plus the cache backward_batch reads.
 
-        xr, xc_re, xc_im: [N, S, S, P] patch stacks. Dropout masks are
+        xr, xc_re, xc_im: [N, S, S, P] patch stacks. Dropout applies only
+        when a dropout_seed is given (a training step); its masks are
         drawn from a stream keyed by (dropout_seed, layer index) so
         serial and parallel execution produce identical masks.
 
@@ -286,8 +287,8 @@ class DualStreamModel:
         for i, (weights, bias) in enumerate(w["dense"]):
             out = layers.relu(layers.dense_batch(h, weights, bias))
             mask = None
-            if training and self.config.dropout_rate > 0.0:
-                rng = np.random.default_rng(np.random.SeedSequence(list(dropout_seed or (0,)) + [i]))
+            if dropout_seed is not None and self.config.dropout_rate > 0.0:
+                rng = np.random.default_rng(np.random.SeedSequence([*dropout_seed, i]))
                 # in the activation's dtype, so that the backward's dh * mask stays in it
                 mask = layers.dropout_mask(out.shape, self.config.dropout_rate, rng).astype(out.dtype)
                 out *= mask
@@ -464,7 +465,7 @@ def load_checkpoint(manifest_path: str):
     except ConfigError as exc:  # a config field or validate's cross-field checks
         raise ConfigError(f"{where}: config.{exc}") from None
     try:
-        model = DualStreamModel.build(config, manifest["n_classes"])
+        model = DualStreamModel(config, manifest["n_classes"])
     except ConfigError as exc:  # n_classes
         raise ConfigError(f"{where}: {exc}") from None
 

@@ -15,7 +15,7 @@ real and complex streams.
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -26,38 +26,25 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-class FftPlan:
-    """Roots of unity and the DFT matrices for length n."""
-
-    def __init__(self, n: int):
-        if not _is_pow2(n):
-            raise DimensionError(f"FFT length must be a power of two, got {n}")
-        self.n = n
-        k = np.arange(n)
-        ang = -2.0 * math.pi * k / n
-        # twiddle[k] = exp(-2*pi*i*k/n), split storage
-        self.tw_re = np.cos(ang)
-        self.tw_im = np.sin(ang)
-        self._kt = np.outer(k, k) % n
-        self.f_re = self.tw_re[self._kt]
-        self.f_im = self.tw_im[self._kt]
-
-    @cached_property
-    def dft2(self):
-        """(re, im) of kron(F, F), [n^2, n^2] and symmetric: the 2D
-        transform of a row-major flattened n x n array. Built on first
-        use: it takes 16 n^4 bytes (1 MiB at n = 16)."""
-        n, kt = self.n, self._kt
-        idx = ((kt[:, None, :, None] + kt[None, :, None, :]) % n).reshape(n * n, n * n)
-        return self.tw_re[idx], self.tw_im[idx]
-
-    @cached_property
-    def dft2_f32(self):
-        """dft2 rounded once to float32, for float32 input."""
-        return tuple(m.astype(np.float32) for m in self.dft2)
+@cache
+def dft(n: int):
+    """(re, im) of the n x n DFT matrix F, symmetric, for power-of-two n."""
+    if not _is_pow2(n):
+        raise DimensionError(f"FFT length must be a power of two, got {n}")
+    ang = -2.0 * math.pi * np.arange(n) / n
+    kt = np.outer(np.arange(n), np.arange(n)) % n
+    return np.cos(ang)[kt], np.sin(ang)[kt]
 
 
-get_plan = cache(FftPlan)  # one plan per length
+@cache
+def dft2(n: int, dtype):
+    """(re, im) of kron(F, F) rounded once to dtype, [n^2, n^2] and
+    symmetric: the 2D transform of a row-major flattened n x n array. It
+    takes 16 n^4 bytes in float64 (1 MiB at n = 16)."""
+    w_re, w_im = (f[1 % n] for f in dft(n))  # row 1 % n of F is the twiddle table w
+    kt = np.outer(np.arange(n), np.arange(n))
+    idx = ((kt[:, None, :, None] + kt[None, :, None, :]) % n).reshape(n * n, n * n)
+    return w_re[idx].astype(dtype), w_im[idx].astype(dtype)
 
 
 def _precision(x) -> type:
@@ -82,14 +69,15 @@ def fft_last_axis(re: np.ndarray, im: np.ndarray, inverse: bool = False):
 
     Vectorized over all leading axes. Returns new float64 arrays.
     """
-    plan = get_plan(re.shape[-1])
+    n = re.shape[-1]
+    f_re, f_im = dft(n)
     re = np.asarray(re, dtype=np.float64)
     im = np.asarray(im, dtype=np.float64)
     # F is symmetric, so x @ F transforms each row
-    re, im = _complex_matmul(re, im, plan.f_re, -plan.f_im if inverse else plan.f_im)
+    re, im = _complex_matmul(re, im, f_re, -f_im if inverse else f_im)
     if inverse:
-        re /= plan.n
-        im /= plan.n
+        re /= n
+        im /= n
     return re, im
 
 
@@ -104,7 +92,7 @@ def fft2_arrays(re: np.ndarray, im: np.ndarray | None = None):
     if re.shape[-2] != s:
         raise DimensionError(f"2D transform needs square trailing axes, got {re.shape}")
     dtype = _precision(re)
-    f_re, f_im = get_plan(s).dft2 if dtype is np.float64 else get_plan(s).dft2_f32
+    f_re, f_im = dft2(s, dtype)
 
     def rows(x):
         return None if x is None else np.asarray(x, dtype=dtype).reshape(-1, s * s)

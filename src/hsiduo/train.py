@@ -58,17 +58,18 @@ def cross_entropy_batch(probs: np.ndarray, onehot: np.ndarray) -> float:
 # one training step's loss and gradient
 
 
-def backward(model, batch, targets, training=False, dropout_seed=None, grad=None):
+def backward(model, batch, targets, dropout_seed=None, grad=None):
     """Mean batch loss and the gradient of every parameter.
 
     batch is the (xr, xc_re, xc_im) triple of patch stacks; targets are
     one-hot rows. The gradient is one flat buffer laid out like
     model.flat; model.param_entries(grad) names its views. Every view is
     written in full, so a held buffer passed as grad is reused as it is,
-    without zeroing; without one a fresh buffer is returned.
+    without zeroing; without one a fresh buffer is returned. A
+    dropout_seed makes it a training step, with dropout on.
     """
     onehot = np.asarray(targets, dtype=model.flat.dtype)  # a float64 one would widen dlogits
-    probs, cache = model.forward_batch(*batch, training=training, dropout_seed=dropout_seed)
+    probs, cache = model.forward_batch(*batch, dropout_seed=dropout_seed)
     loss = cross_entropy_batch(probs, onehot)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss; first bad layer: {model.find_nonfinite_layer(cache)}")
@@ -206,14 +207,7 @@ def fit(model, train_set: PatchSet, val_set: PatchSet, cfg: TrainConfig):
         for step, lo in enumerate(range(0, len(order), cfg.batch_size)):
             idx = order[lo : lo + cfg.batch_size]
             batch = (train_set.xr[idx], train_set.xc_re[idx], train_set.xc_im[idx])
-            loss, _ = backward(
-                model,
-                batch,
-                onehot_all[idx],
-                training=True,
-                dropout_seed=(cfg.seed, epoch, step),
-                grad=grad,
-            )
+            loss, _ = backward(model, batch, onehot_all[idx], dropout_seed=(cfg.seed, epoch, step), grad=grad)
             adam_step(model.flat, grad, state)
             epoch_loss += loss * len(idx)
         train_loss = epoch_loss / len(train_set)

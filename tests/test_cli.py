@@ -829,21 +829,27 @@ def test_map_out_that_cannot_be_written_exits_2_before_any_work(tmp_path, datase
     assert sorted(os.listdir(tmp_path)) == before
 
 
-def test_class_with_two_pixels_exits_2_before_pca(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("case", ["two_pixels", "class_gap"])
+def test_class_with_two_pixels_exits_2_before_pca(tmp_path, monkeypatch, capsys, case):
     import time
 
     import hsiduo.data as data
 
     cube, label_map = data.synth_dataset(3, 32, 32, 16, 0.1, 0)
     labels = label_map.labels.copy()
-    keep = np.argwhere(labels == 3)[:2]
-    labels[labels == 3] = 0
-    labels[keep[:, 0], keep[:, 1]] = 3
+    if case == "two_pixels":
+        keep = np.argwhere(labels == 3)[:2]
+        labels[labels == 3] = 0
+        labels[keep[:, 0], keep[:, 1]] = 3
+        message = "class 3 has 2 labeled pixel(s); need at least 3"
+    else:  # class ids 1 and 3: class 2 would have no test pixel for AA
+        labels[labels == 2] = 0
+        message = "labels: class 2 has no labeled pixel"
     data.save_cube(cube, str(tmp_path / "cube.json"))
     data.save_labels(data.LabelMap(labels), str(tmp_path / "labels.json"))
 
     def fit_pca(*args, **kwargs):
-        raise AssertionError("PCA ran before the split rejected class 3")
+        raise AssertionError("PCA ran before the labels were rejected")
 
     monkeypatch.setattr(data, "fit_pca", fit_pca)
     out = tmp_path / "run"
@@ -851,7 +857,7 @@ def test_class_with_two_pixels_exits_2_before_pca(tmp_path, monkeypatch, capsys)
     assert main(["train", "--cube", str(tmp_path / "cube.json"), "--labels", str(tmp_path / "labels.json"),
                  "--out", str(out)]) == 2
     assert time.perf_counter() - start < 1.0
-    assert "class 3 has 2 labeled pixel(s); need at least 3" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -146,7 +146,7 @@ def test_float32_gradients_agree_with_float64():
     batch = (ps.xr, ps.xc_re, ps.xc_im)
     assert all(x.dtype == np.float32 for x in batch) and len(ps) == 7
 
-    step = {"training": True, "dropout_seed": (0, 1, 0)}
+    step = {"dropout_seed": (0, 1, 0)}
     _, g32 = backward(model, batch, ps.onehot(3), **step)
     _, g64 = backward(twin, tuple(x.astype(np.float64) for x in batch), ps.onehot(3), **step)
     assert g32.dtype == np.float32 and g64.dtype == np.float64
@@ -241,8 +241,8 @@ def test_eval_dropout_backward_is_identity():
     twin = DualStreamModel.build(tiny_config(dropout=0.0), 3, np.random.default_rng(4))
     twin.load_params(model.snapshot_params())
     batch, onehot = tiny_batch(np.random.default_rng(5))
-    _, g1 = backward(model, batch, onehot, training=False)
-    _, g2 = backward(twin, batch, onehot, training=False)
+    _, g1 = backward(model, batch, onehot)
+    _, g2 = backward(twin, batch, onehot)
     for (name, a), (_, b) in zip(model.param_entries(g1), twin.param_entries(g2)):
         assert np.array_equal(a, b), name
 
@@ -250,10 +250,10 @@ def test_eval_dropout_backward_is_identity():
 def test_training_dropout_gradients_match_fd_with_fixed_mask():
     model, batch, onehot, rng = clean_instance(6, {"dropout": 0.5})
     seed_tuple = (7, 1, 0)
-    loss, grads = backward(model, batch, onehot, training=True, dropout_seed=seed_tuple)
+    loss, grads = backward(model, batch, onehot, dropout_seed=seed_tuple)
 
     def loss_with_mask():
-        probs, _ = model.forward_batch(*batch, training=True, dropout_seed=seed_tuple)
+        probs, _ = model.forward_batch(*batch, dropout_seed=seed_tuple)
         return cross_entropy_batch(probs, onehot)
 
     worst = 0.0
@@ -283,8 +283,8 @@ def test_backward_into_held_nan_buffer_equals_fresh(se_enabled, dense):
     model = DualStreamModel.build(config, 3, rng)
     batch, onehot = tiny_batch(rng, n=3)
     held = np.full_like(model.flat, np.nan)
-    loss_h, g_h = backward(model, batch, onehot, training=True, dropout_seed=(1, 2, 3), grad=held)
-    loss_f, g_f = backward(model, batch, onehot, training=True, dropout_seed=(1, 2, 3))
+    loss_h, g_h = backward(model, batch, onehot, dropout_seed=(1, 2, 3), grad=held)
+    loss_f, g_f = backward(model, batch, onehot, dropout_seed=(1, 2, 3))
     assert g_h is held
     assert loss_h == loss_f
     assert np.array_equal(g_h, g_f)

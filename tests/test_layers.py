@@ -53,7 +53,7 @@ def fusion_cache(xr, xc_re, xc_im, complex_bands=None):
         dense_widths=[],
         dropout_rate=0.0,
     )
-    model = DualStreamModel.build(cfg, 2)  # all-zero weights
+    model = DualStreamModel(cfg, 2)  # all-zero weights
     params = dict(model.param_entries())
     params["real_conv0.kernels"][...] = 1.0
     params["cplx_conv0.kernels_re"][:, :, 0] = 1.0
@@ -493,7 +493,7 @@ def test_fuse_streams_random_elementwise():
     cfg = ModelConfig(pca_components=3, patch_size=2, real_convs=[ConvLayerSpec((1, 1, 1), 1)],
                       complex_convs=[ConvLayerSpec((2, 2, 1), 1)], se_enabled=False)
     with pytest.raises(ConfigError, match="fusion"):
-        DualStreamModel.build(cfg, 2)
+        DualStreamModel(cfg, 2)
 
 
 def test_se_squeeze_direct_average():
@@ -595,14 +595,14 @@ def test_dropout_contract():
     kept = ~zeroed
     assert np.allclose(out[kept], x[kept] / 0.6)
     assert 0.25 < zeroed.mean() < 0.55
-    # eval mode draws no mask: the forward pass is the same with any seed
+    # eval mode (no seed) draws no mask: the cached and the bare forward agree
     cfg = ModelConfig(pca_components=2, patch_size=2, real_convs=[ConvLayerSpec((1, 1, 1), 2)],
                       complex_convs=[ConvLayerSpec((1, 1, 1), 2)], se_ratio=2, dense_widths=[8],
                       dropout_rate=0.7)
     model = DualStreamModel.build(cfg, 2, rng=np.random.default_rng(2))
     xs = [rng.normal(size=(3, 2, 2, 2)) for _ in range(3)]
-    eval_a, cache = model.forward_batch(*xs, training=False, dropout_seed=(0,))
-    eval_b, _ = model.forward_batch(*xs, training=False, dropout_seed=(1,))
+    eval_a, cache = model.forward_batch(*xs)
+    eval_b, _ = model.forward_batch(*xs, cache=False)
     assert np.array_equal(eval_a, eval_b) and cache["dense"][0][2] is None
     with pytest.raises(ConfigError, match="dropout_rate"):
         ModelConfig(dropout_rate=1.0).validate()

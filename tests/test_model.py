@@ -98,8 +98,8 @@ def test_param_entries_declaration_order():
         assert not np.array_equal(arr, old), name
         assert np.array_equal(fwd, arr), name
 
-    assert not DualStreamModel.build(small_config(), 3).flat.any()
-    assert all(not arr.any() for _, arr in DualStreamModel.build(small_config(), 3).param_entries())
+    assert not DualStreamModel(small_config(), 3).flat.any()
+    assert all(not arr.any() for _, arr in DualStreamModel(small_config(), 3).param_entries())
 
 
 def test_init_order_pins_checkpoint_bytes(tmp_path):
@@ -219,8 +219,8 @@ def test_cacheless_forward_gives_the_cached_probabilities(config, n):
     model = DualStreamModel.build(config, 9, np.random.default_rng(4))
     batch = patch_batch(n, config, 5)
     before = [x.copy() for x in batch]
-    cached, cache = model.forward_batch(*batch, training=False)
-    bare, none = model.forward_batch(*batch, training=False, cache=False)
+    cached, cache = model.forward_batch(*batch)
+    bare, none = model.forward_batch(*batch, cache=False)
     assert cache is not None and none is None
     assert np.array_equal(bare, cached)
     assert np.array_equal(model.predict_batch(*batch), np.argmax(cached, axis=1))
@@ -244,7 +244,7 @@ def test_training_forward_caches_each_output_as_the_next_input():
     # dense output is post-activation and is the array the next layer reads
     config = replace(small_config(), dense_widths=[6, 5])
     model = DualStreamModel.build(config, 9, np.random.default_rng(8))
-    _, cache = model.forward_batch(*patch_batch(12, config, 9), training=True, dropout_seed=(3,))
+    _, cache = model.forward_batch(*patch_batch(12, config, 9), dropout_seed=(3,))
     chains = [
         [(x, out) for x, out in cache["real"]],
         [(xr, out_re) for xr, _, out_re, _ in cache["cplx"]],

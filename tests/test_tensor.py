@@ -18,7 +18,7 @@ def test_concat_spatial_mismatch():
         cfg = ModelConfig(pca_components=2, patch_size=2, real_convs=[ConvLayerSpec((1, 1, 1), 1)],
                           complex_convs=[ConvLayerSpec(kernel, 1)], se_enabled=False)
         with pytest.raises(ConfigError, match="fusion"):
-            DualStreamModel.build(cfg, 2)
+            DualStreamModel(cfg, 2)
 
 
 def test_zeros():

@@ -30,12 +30,12 @@ NOISES = ("0.1", "0")
 SKIPPED = "run_manifest.json"  # holds the time it was written
 
 
-def runs(case, synth_flags, config):
+def runs(case, synth_flags):
     """The CLI argument lists for one (seed, noise) case, in order, all
     writing under the directory case."""
     data = os.path.join(case, "synth")
     inputs = ["--cube", os.path.join(data, "cube.json"), "--labels", os.path.join(data, "labels.json")]
-    config = ["--config", config] if config else []
+    config = ["--config", os.path.abspath(CONFIG)] if CONFIG else []
     checkpoint = ["--checkpoint", os.path.join(case, "train", "checkpoint.json")]
     return [
         ["synth", *synth_flags, "--out", data],
@@ -46,16 +46,16 @@ def runs(case, synth_flags, config):
     ]
 
 
-def run_checkout(checkout, out, seeds, size, config):
+def run_checkout(checkout, out):
     """Run every case with checkout's CLI under out; returns the sha256 of
     each artifact by its path relative to out."""
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(checkout), "src"),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    h, w, b = size
-    for seed in range(seeds):
+    h, w, b = SIZE
+    for seed in range(SEEDS):
         for noise in NOISES:
             synth = ["--seed", str(seed), "--noise", noise, "--height", str(h), "--width", str(w), "--bands", str(b)]
-            for argv in runs(os.path.join(out, f"seed{seed}_noise{noise}"), synth, config):
+            for argv in runs(os.path.join(out, f"seed{seed}_noise{noise}"), synth):
                 proc = subprocess.run([sys.executable, "-m", "hsiduo", *argv], env=env,
                                       stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
                 if proc.returncode != 0:
@@ -86,9 +86,8 @@ def main(argv=None) -> int:
     ap.add_argument("parent")
     ap.add_argument("change")
     args = ap.parse_args(argv)
-    config = os.path.abspath(CONFIG) if CONFIG else None
     with tempfile.TemporaryDirectory() as work:
-        sides = [run_checkout(checkout, os.path.join(work, side), SEEDS, SIZE, config)
+        sides = [run_checkout(checkout, os.path.join(work, side))
                  for side, checkout in (("parent", args.parent), ("change", args.change))]
     rows, summary = compare(*sides)
     for path, a, b, same in rows:
