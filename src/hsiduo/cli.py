@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import data, metrics, model, schema, spectral, train
-from .errors import ConfigError, DataError, IngestionError
+from .errors import ConfigError, DataError, IngestionError, NumericError
 
 # class 0 is black; classes cycle through the remaining 16 entries
 PALETTE = (
@@ -74,7 +74,10 @@ def build_patchset(std_array, samples, patch_size):
     return train.PatchSet(*stacks, np.asarray(samples.labels, dtype=np.int32))
 
 
-def predict_samples(net, std_array, rows, cols, patch_size, chunk=64):
+_PREDICT_BATCH = 64
+
+
+def predict_samples(net, std_array, rows, cols, patch_size):
     """Streamed prediction in std_array's precision, float32 for the cube
     standardize returns; returns 1-based class labels.
 
@@ -85,8 +88,8 @@ def predict_samples(net, std_array, rows, cols, patch_size, chunk=64):
     holds a quarter of batch 256's patch stacks and activations at about
     the same speed (see README)."""
     out = np.zeros(rows.shape[0], dtype=np.int32)
-    for lo in range(0, rows.shape[0], chunk):
-        hi = min(lo + chunk, rows.shape[0])
+    for lo in range(0, rows.shape[0], _PREDICT_BATCH):
+        hi = min(lo + _PREDICT_BATCH, rows.shape[0])
         stacks = _patch_stacks(std_array, rows[lo:hi], cols[lo:hi], patch_size)
         out[lo:hi] = net.predict_batch(*stacks) + 1
     return out
@@ -177,6 +180,15 @@ def _run_inputs(args):
     return config, seed, data.load_cube(args.cube), data.load_labels(args.labels)
 
 
+def _train_run(args, cube, label_map, config, seed):
+    """run_training, with a numeric failure prefixed by the run's inputs."""
+    try:
+        return run_training(cube, label_map, config, seed)
+    except NumericError as exc:
+        source = f"config {args.config}" if args.config else "built-in config"
+        raise NumericError(f"{source}, header {args.cube}: {exc}") from None
+
+
 def _write_run(out, net, history, report, class_names):
     """One run's checkpoint, history and report, in the directory out."""
     os.makedirs(out, exist_ok=True)
@@ -230,7 +242,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config, seed, cube, label_map = _run_inputs(args)
-    net, history, report, class_names = run_training(cube, label_map, config, seed)
+    net, history, report, class_names = _train_run(args, cube, label_map, config, seed)
     _write_run(args.out, net, history, report, class_names)
     outputs = {"checkpoint": "checkpoint.json", "history": "history.json", "report": "report.json"}
     _write_json(os.path.join(args.out, "run_manifest.json"), _run_manifest(args, seed, config, outputs))
@@ -245,7 +257,7 @@ def cmd_trial(args) -> int:
     seeds = [master_seed + i for i in range(args.repeats)]
     reports = []
     for i, seed in enumerate(seeds):
-        net, history, report, class_names = run_training(cube, label_map, config, seed)
+        net, history, report, class_names = _train_run(args, cube, label_map, config, seed)
         _write_run(os.path.join(args.out, f"trial_{i:02d}"), net, history, report, class_names)
         reports.append(report)
 
@@ -274,7 +286,8 @@ def cmd_map(args) -> int:
     _check_scene(cube, label_map)
     if config.pca_components > cube.bands:
         raise ConfigError(
-            f"checkpoint expects {config.pca_components} components but cube has {cube.bands} bands"
+            f"checkpoint manifest {args.checkpoint}: config.pca_components: {config.pca_components} "
+            f"components, more than the {cube.bands} bands of header {args.cube}"
         )
 
     std_array = _standardized(cube, config.pca_components)

@@ -282,37 +282,21 @@ def save_labels(label_map: LabelMap, header_path: str):
 # PCA via parallel-ordered Jacobi on the explicit covariance
 
 
-def _round_robin_perm(m: int) -> np.ndarray:
-    """The Brent-Luk round-robin schedule over an even number m of indices,
-    as one relabelling. Each round rotates the disjoint pairs (0, 1),
-    (2, 3), ...; then a = a[perm][:, perm] brings in the next round's
-    pairs. The m-1 rounds of a sweep meet every pair once and end back in
-    the starting order.
-
-    Pairs are slots (k, m-1-k) of a ring in which slot 0 stays and the
-    other slots turn by one each round; slot k sits at position 2k, slot
-    m-1-k at 2k+1."""
-    half = m // 2
-    pos = np.concatenate([2 * np.arange(half), 2 * np.arange(half - 1, -1, -1) + 1])
-    src = np.concatenate([[0, m - 1], np.arange(1, m - 1)])[:m]  # src[j]: the slot that moves to j
-    perm = np.empty(m, dtype=np.intp)
-    perm[pos] = pos[src]
-    return perm
-
-
 _JACOBI_TOL, _JACOBI_SWEEPS = 1e-12, 64
 
 
 def jacobi_eigh(matrix: np.ndarray):
     """Eigendecomposition of a symmetric matrix by Jacobi rotations in
-    parallel (Brent-Luk round-robin) order.
+    parallel, odd-even order (Luk & Park 1989).
 
-    Each round rotates n/2 disjoint index pairs at once: the pairs sit in
-    adjacent columns, so viewing a column pair as one complex number turns
-    the rotation of all columns of A (and of V) into one complex multiply;
-    the rows of A follow by transposing. An odd n is padded with a zero
-    dummy index, which pairs with a zero entry and so is never rotated,
-    and is dropped at the end.
+    Round r rotates the disjoint pairs of adjacent columns from column
+    r % 2 on. Viewing a column pair as one complex number turns the
+    rotation of all columns of A (and of V) into one complex multiply; the
+    rows of A follow by transposing. Each rotation is times i, which swaps
+    the pair (one column negated), so the indices travel as in odd-even
+    transposition and the m rounds of a sweep meet every pair once. An odd
+    n is padded with a zero dummy index, which pairs with a zero entry and
+    so is only ever swapped; its column of V, +-e_n, is dropped at the end.
 
     Sweeps stop once the off-diagonal Frobenius norm, summed directly over
     the strict upper triangle, is at most _JACOBI_TOL x ||A||_F, or after
@@ -329,30 +313,29 @@ def jacobi_eigh(matrix: np.ndarray):
     if m != n:
         a = np.pad(a, ((0, 1), (0, 1)))
     v = np.eye(m)
-    perm = _round_robin_perm(m)
     upper = np.triu_indices(m, 1)
     bound = _JACOBI_TOL * float(np.sqrt((a * a).sum()))
     for _ in range(_JACOBI_SWEEPS):
         if math.sqrt(2.0 * float(np.square(a[upper]).sum())) <= bound:
             break
-        for _ in range(m - 1):
-            diag = np.diagonal(a)
-            apq = np.diagonal(a, 1)[0::2]
+        for r in range(m):
+            cols = slice(r % 2, m - r % 2)
+            diag = np.diagonal(a)[cols]
+            apq = np.diagonal(a, 1)[cols][0::2]
             d = diag[1::2] - diag[0::2]
             # t = tan(angle) that zeroes a[p, q], the smaller root, written
             # without d / apq so it neither overflows nor divides by zero
             denom = np.abs(d) + np.hypot(d, 2.0 * apq)
             t = np.where(d < 0, -2.0, 2.0) * apq / np.where(denom > 0, denom, 1.0)
-            rot = (1.0 + 1j * t) / np.sqrt(t * t + 1.0)  # c + i s
-            a.view(np.complex128)[...] *= rot  # A J
-            a = a.T.take(perm, axis=0)  # relabelled rows of (A J)^T = J^T A
-            a.view(np.complex128)[...] *= rot  # J^T A J
-            a = a.take(perm, axis=1)
-            v.view(np.complex128)[...] *= rot
-            v = v.take(perm, axis=1)
-    vals = np.diag(a)[:n].copy()
+            rot = (1j - t) / np.sqrt(t * t + 1.0)  # i (c + i s)
+            a[:, cols].view(np.complex128)[...] *= rot  # A J
+            a = a.T.copy()  # (A J)^T = J^T A
+            a[:, cols].view(np.complex128)[...] *= rot  # J^T A J
+            v[:, cols].view(np.complex128)[...] *= rot
+    keep = ~np.any(v[n:], axis=0)  # every column but the dummy's
+    vals = np.diag(a)[keep]
     order = np.argsort(-vals, kind="stable")
-    return vals[order], v[:n, :n][:, order]
+    return vals[order], v[:n, keep][:, order]
 
 
 def _sign_normalize(components: np.ndarray) -> np.ndarray:

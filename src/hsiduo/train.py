@@ -207,7 +207,10 @@ def fit(model, train_set: PatchSet, val_set: PatchSet, cfg: TrainConfig):
         for step, lo in enumerate(range(0, len(order), cfg.batch_size)):
             idx = order[lo : lo + cfg.batch_size]
             batch = (train_set.xr[idx], train_set.xc_re[idx], train_set.xc_im[idx])
-            loss, _ = backward(model, batch, onehot_all[idx], dropout_seed=(cfg.seed, epoch, step), grad=grad)
+            try:
+                loss, _ = backward(model, batch, onehot_all[idx], dropout_seed=(cfg.seed, epoch, step), grad=grad)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch} step {step + 1}: {exc}") from None
             adam_step(model.flat, grad, state)
             epoch_loss += loss * len(idx)
         train_loss = epoch_loss / len(train_set)

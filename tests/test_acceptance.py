@@ -298,12 +298,13 @@ def test_criterion_8_end_to_end_noiseless(tmp_path, monkeypatch):
     predictions = []
     real_predict = cli.predict_samples
 
-    def recording_predict(model, std_array, rows, cols, patch_size, chunk=256):
-        pred = real_predict(model, std_array, rows, cols, patch_size, chunk)
+    def recording_predict(model, std_array, rows, cols, patch_size):
+        pred = real_predict(model, std_array, rows, cols, patch_size)
         predictions.append((rows.copy(), cols.copy(), pred.copy()))
         return pred
 
     monkeypatch.setattr(cli, "predict_samples", recording_predict)
+    monkeypatch.setattr(cli, "_PREDICT_BATCH", 256)
     config = default_config_with(tmp_path)
     rep, hist, data, _ = synth_and_train(tmp_path, 0.0, config, "clean")
     assert len(predictions) == 1  # the test-set evaluation

@@ -81,7 +81,8 @@ def test_benchmark_counts_prediction_in_the_traced_forward():
         "std = np.random.default_rng(1).normal(size=(12, 10, 4))\n"
         "rows, cols = np.divmod(np.arange(0, 120, 2), 10)\n"
         "start = time.monotonic()\n"
-        "pred = cli.predict_samples(net, std, rows, cols, 8, chunk=16)\n"
+        "cli._PREDICT_BATCH = 16\n"
+        "pred = cli.predict_samples(net, std, rows, cols, 8)\n"
         "metrics = tracer.layer_metrics(start, time.monotonic() - start)\n"
         "assert pred.shape == (60,), pred.shape\n"
         "assert metrics['model.forward_px'] == 60, metrics\n"

@@ -365,8 +365,8 @@ def test_report_is_what_map_of_the_checkpoint_predicts(tmp_path, dataset, monkey
     seen = []
     real_predict = cli.predict_samples
 
-    def recording_predict(model, std_array, rows, cols, patch_size, chunk=64):
-        pred = real_predict(model, std_array, rows, cols, patch_size, chunk)
+    def recording_predict(model, std_array, rows, cols, patch_size):
+        pred = real_predict(model, std_array, rows, cols, patch_size)
         seen.append((rows.copy(), cols.copy(), pred.copy()))
         return pred
 
@@ -627,6 +627,13 @@ def break_manifest_classes_unallocatable(ckpt, dataset, doc):
     return "map", f"checkpoint manifest {ckpt}: n_classes: takes the model past"
 
 
+def break_cube_fewer_bands_than_components(ckpt, dataset, doc):
+    cube = os.path.join(dataset, "cube.json")  # the checkpoint reduces to 8 components
+    assert main(["synth", "--classes", "3", "--height", "16", "--width", "16", "--bands", "4", "--out", dataset]) == 0
+    return "map", (f"checkpoint manifest {ckpt}: config.pca_components: 8 components, "
+                   f"more than the 4 bands of header {cube}")
+
+
 def break_manifest_one_class(ckpt, dataset, doc):
     manifest = json.load(open(ckpt))
     manifest["n_classes"] = 1
@@ -646,7 +653,7 @@ def break_manifest_one_class(ckpt, dataset, doc):
      break_manifest_classes_unallocatable, break_manifest_one_class, break_cube_height_negative, break_cube_width_fraction,
      break_cube_bands_text, break_labels_classes_scalar, break_labels_classes_text, break_labels_classes_short,
      break_config_seed_negative, break_config_lr_infinite, break_config_dropout_nan,
-     break_config_conv_unknown_key],
+     break_config_conv_unknown_key, break_cube_fewer_bands_than_components],
 )
 def test_malformed_input_exits_2_and_names_field(tmp_path, dataset, capsys, corrupt):
     ckpt = untrained_checkpoint(tmp_path)
@@ -710,6 +717,25 @@ def test_checkpoint_with_a_nan_weight_exits_2_and_names_it(tmp_path, dataset, ca
                  os.path.join(dataset, "labels.json"), "--checkpoint", ckpt, "--out", str(out)]) == 2
     assert f"checkpoint payload {payload}: head.bias holds a NaN or an infinity" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_training_loss_exits_3_and_names_its_inputs_and_step(tmp_path, capsys):
+    # the desk scene at the default config with lr 1e30: epoch 1's one
+    # Adam step moves every weight by about 1e30, so the next forward
+    # overflows float32 in the first layer
+    from hsiduo.model import ModelConfig
+
+    assert main(["synth", "--out", str(tmp_path / "desk")]) == 0
+    doc = ModelConfig().to_json_dict()
+    doc["train"]["lr"] = 1e30
+    config = write_config(tmp_path, doc)
+    cube = str(tmp_path / "desk" / "cube.json")
+    scene = ["--cube", cube, "--labels", str(tmp_path / "desk" / "labels.json"), "--config", config]
+    for command in (["train"], ["trial", "--repeats", "2"]):
+        assert main([*command, *scene, "--out", str(tmp_path / command[0])]) == 3
+        assert (f"numeric error: config {config}, header {cube}: epoch 2 step 1: non-finite loss; "
+                "first bad layer: real_conv1") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "trial"])
@@ -882,7 +908,7 @@ def test_map_exits_2_when_the_payload_changes_after_load(tmp_path, dataset, monk
     assert not out.exists()
 
 
-def test_prediction_does_not_depend_on_the_batch():
+def test_prediction_does_not_depend_on_the_batch(monkeypatch):
     # the desk scene's 963 test pixels: batches of 7, 64 and 256 leave a
     # ragged last batch, and the untrained model predicts all three classes
     from hsiduo import cli
@@ -898,7 +924,8 @@ def test_prediction_does_not_depend_on_the_batch():
     ref = cli.predict_samples(net, std, test.rows, test.cols, config.patch_size)
     assert np.unique(ref).size == 3
     for chunk in (1, 7, 256, 1000):
-        pred = cli.predict_samples(net, std, test.rows, test.cols, config.patch_size, chunk=chunk)
+        monkeypatch.setattr(cli, "_PREDICT_BATCH", chunk)
+        pred = cli.predict_samples(net, std, test.rows, test.cols, config.patch_size)
         assert np.array_equal(pred, ref), chunk
 
     stacks = cli._patch_stacks(std, test.rows, test.cols, config.patch_size)

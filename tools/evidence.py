@@ -1,4 +1,4 @@
-"""Whether two checkouts write byte-identical artifacts.
+"""Whether two checkouts write byte-identical artifacts, and what moved.
 
     python3 tools/evidence.py PARENT_DIR CHANGE_DIR
 
@@ -9,8 +9,11 @@ desk scene), then `train --threads 1`, `trial --threads 1 --repeats 2`,
 train and trial with the built-in config.
 
 It prints every artifact's sha256 on both sides and whether they match,
-skipping the time-stamped `run_manifest.json`, then one JSON line, and
-exits 1 when any artifact differs or is missing from one side.
+skipping the time-stamped `run_manifest.json`; then, per (seed, noise)
+case, how many pixels differ between the two sides' `map.ppm` and
+`map_full.ppm` and each side's train and trial OA, AA and kappa; then one
+JSON line holding all of it. It exits 1 when any artifact differs or is
+missing from one side.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ SIZE = (32, 32, 16)  # synth's height, width and bands
 CONFIG = None  # a config JSON for train and trial; None: the built-in one
 NOISES = ("0.1", "0")
 SKIPPED = "run_manifest.json"  # holds the time it was written
+MAPS = ("map.ppm", "map_full.ppm")
+REPORTS = {"train": os.path.join("train", "report.json"), "trial": os.path.join("trial", "trial_report.json")}
 
 
 def runs(case, synth_flags):
@@ -46,6 +51,10 @@ def runs(case, synth_flags):
     ]
 
 
+def case_name(seed, noise):
+    return f"seed{seed}_noise{noise}"
+
+
 def run_checkout(checkout, out):
     """Run every case with checkout's CLI under out; returns the sha256 of
     each artifact by its path relative to out."""
@@ -55,7 +64,7 @@ def run_checkout(checkout, out):
     for seed in range(SEEDS):
         for noise in NOISES:
             synth = ["--seed", str(seed), "--noise", noise, "--height", str(h), "--width", str(w), "--bands", str(b)]
-            for argv in runs(os.path.join(out, f"seed{seed}_noise{noise}"), synth):
+            for argv in runs(os.path.join(out, case_name(seed, noise)), synth):
                 proc = subprocess.run([sys.executable, "-m", "hsiduo", *argv], env=env,
                                       stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
                 if proc.returncode != 0:
@@ -81,18 +90,55 @@ def compare(parent, change):
     return rows, summary
 
 
+def moved_pixels(a, b):
+    """How many pixels differ between two P6 images as write_ppm writes
+    them (bytes); None when their headers differ."""
+    (*head_a, body_a), (*head_b, body_b) = a.split(b"\n", 3), b.split(b"\n", 3)
+    if head_a != head_b:
+        return None
+    return sum(body_a[i : i + 3] != body_b[i : i + 3] for i in range(0, len(body_a), 3))
+
+
+def case_figures(parent_out, change_out):
+    """Per (seed, noise) case: the moved pixels of each map, and each
+    side's train and trial {oa, aa, kappa}."""
+    cases = {}
+    for seed in range(SEEDS):
+        for noise in NOISES:
+            case = case_name(seed, noise)
+            sides = {"parent": os.path.join(parent_out, case), "change": os.path.join(change_out, case)}
+
+            def read(side, name):
+                with open(os.path.join(sides[side], name), "rb") as fh:
+                    return fh.read()
+
+            cases[case] = {"moved": {name: moved_pixels(read("parent", name), read("change", name)) for name in MAPS}}
+            for run, report in REPORTS.items():
+                cases[case][run] = {side: {key: json.loads(read(side, report))[key] for key in ("oa", "aa", "kappa")}
+                                    for side in sides}
+    return cases
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
-        sides = [run_checkout(checkout, os.path.join(work, side))
-                 for side, checkout in (("parent", args.parent), ("change", args.change))]
+        outs = [os.path.join(work, "parent"), os.path.join(work, "change")]
+        sides = [run_checkout(checkout, out) for checkout, out in zip((args.parent, args.change), outs)]
+        cases = case_figures(*outs)
     rows, summary = compare(*sides)
     for path, a, b, same in rows:
         print(f"{'same' if same else 'DIFF'}  {a or '-' * 64}  {b or '-' * 64}  {path}")
-    print(json.dumps(summary, sort_keys=True))
+    for case, figures in cases.items():
+        moved = "  ".join(f"{name} {'-' if n is None else n}" for name, n in figures["moved"].items())
+        print(f"case  {case}  moved pixels: {moved}")
+        for run in REPORTS:
+            parent, change = ("/".join(f"{m[key]:.6f}" for key in ("oa", "aa", "kappa"))
+                              for m in (figures[run]["parent"], figures[run]["change"]))
+            print(f"case  {case}  {run} OA/AA/kappa: parent {parent}  change {change}")
+    print(json.dumps({**summary, "cases": cases}, sort_keys=True))
     return 0 if not summary["differ"] else 1
 
 
