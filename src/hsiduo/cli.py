@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import data, metrics, model, schema, spectral, train
+from . import data, metrics, model, schema, train
 from .errors import ConfigError, DataError, IngestionError, NumericError
 
 # class 0 is black; classes cycle through the remaining 16 entries
@@ -61,20 +61,11 @@ def class_colors(labels):
 # pipeline shared by train/trial/map
 
 
-def _patch_stacks(std_array, rows, cols, patch_size):
-    """Real patches and their band-wise FFTs (re, im), in std_array's
-    precision: float32, the model's, for the cube standardize returns."""
-    xr = data.extract_patches_array(std_array, rows, cols, patch_size)
-    return (xr, *spectral.bandwise_fft_arrays(xr))
-
-
 def build_patchset(std_array, samples, patch_size):
-    """Patch stacks plus labels for a sample set."""
-    stacks = _patch_stacks(std_array, samples.rows, samples.cols, patch_size)
-    return train.PatchSet(*stacks, np.asarray(samples.labels, dtype=np.int32))
-
-
-_PREDICT_BATCH = 64
+    """A sample set's patches, in std_array's precision (float32, the
+    model's, for the cube standardize returns), and its labels."""
+    xr = data.extract_patches_array(std_array, samples.rows, samples.cols, patch_size)
+    return train.PatchSet(xr, np.asarray(samples.labels, dtype=np.int32))
 
 
 def predict_samples(net, std_array, rows, cols, patch_size):
@@ -83,15 +74,16 @@ def predict_samples(net, std_array, rows, cols, patch_size):
 
     The weights are net.flat, the values the checkpoint stores, so
     training's test-set report is what `map` of its checkpoint predicts.
-    The conv kernels run a batch a few samples at a time (50 at the first
-    layer, 28 at the second, at the default shapes), so a batch of 64
-    holds a quarter of batch 256's patch stacks and activations at about
-    the same speed (see README)."""
+    Patches are cut train.INFER_BATCH (64) at a time. The conv kernels
+    run a batch a few samples at a time (50 at the first layer, 28 at
+    the second, at the default shapes), so a batch of 64 holds a quarter
+    of batch 256's patches and activations at about the same speed (see
+    README)."""
     out = np.zeros(rows.shape[0], dtype=np.int32)
-    for lo in range(0, rows.shape[0], _PREDICT_BATCH):
-        hi = min(lo + _PREDICT_BATCH, rows.shape[0])
-        stacks = _patch_stacks(std_array, rows[lo:hi], cols[lo:hi], patch_size)
-        out[lo:hi] = net.predict_batch(*stacks) + 1
+    for lo in range(0, rows.shape[0], train.INFER_BATCH):
+        hi = min(lo + train.INFER_BATCH, rows.shape[0])
+        x = data.extract_patches_array(std_array, rows[lo:hi], cols[lo:hi], patch_size)
+        out[lo:hi] = net.predict_batch(x) + 1
     return out
 
 
@@ -112,7 +104,7 @@ def _standardized(cube, n_components):
 
 
 def run_training(cube, label_map, config, seed: int):
-    """split -> PCA -> standardize -> patch/FFT -> fit -> test evaluation.
+    """split -> PCA -> standardize -> patches -> fit -> test evaluation.
 
     Returns (model, history, report_dict, class_names). Every input check,
     the split's class sizes included, comes before any work.

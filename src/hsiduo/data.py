@@ -454,7 +454,7 @@ def extract_patches_array(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray, p
     if rows.size and not (0 <= rows.min() and rows.max() < h and 0 <= cols.min() and cols.max() < w):
         raise DimensionError(f"patch centres out of bounds for {h}x{w}")
     if patch_size < 2 or (patch_size & (patch_size - 1)) != 0:
-        raise DimensionError(f"patch_size must be an even power of two, got {patch_size}")
+        raise DimensionError(f"patch_size must be a power of two >= 2, got {patch_size}")
     offsets = np.arange(patch_size) - patch_size // 2
     r = np.asarray(rows, dtype=np.intp)[:, None] + offsets  # [N, S] window rows
     c = np.asarray(cols, dtype=np.intp)[:, None] + offsets

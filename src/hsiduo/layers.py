@@ -151,7 +151,7 @@ def _col2im_add(dx, dcols, kshape):
             dx[:, i : i + ho, j : j + wo, k : k + do] += dc[:, :, :, :, i, j, k]
 
 
-def conv3d_real_batch(x: np.ndarray, kernels: np.ndarray, bias) -> np.ndarray:
+def conv3d_real_batch(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid cross-correlation over [N,H,W,D,Cin] -> [N,H',W',D',Cout]."""
     out_shape = _check_conv_geometry(x.shape, kernels.shape)
     window, cout = prod(kernels.shape[:4]), kernels.shape[4]
@@ -161,8 +161,7 @@ def conv3d_real_batch(x: np.ndarray, kernels: np.ndarray, bias) -> np.ndarray:
     (c,) = _scratch_blocks(x.dtype, rows * window)
     for s in pieces:
         np.matmul(_cols(x[s], kernels.shape, c), k2, out=out[s].reshape(-1, cout))
-    if bias is not None:
-        out += bias
+    out += bias
     return out
 
 

@@ -1,5 +1,5 @@
-"""Dual-branch model: real conv stack + complex conv stack over the
-band-wise FFT patch, channel-concatenation fusion, optional SE
+"""Dual-branch model: real conv stack over a patch + complex conv stack
+over its band-wise FFT, channel-concatenation fusion, optional SE
 recalibration, and a fully-connected softmax head: its forward pass and
 the backward pass through it.
 
@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from . import layers, schema
+from . import layers, schema, spectral
 from .errors import ConfigError, DimensionError, IngestionError
 from .schema import at_least
 from .train import TrainConfig
@@ -237,16 +237,19 @@ class DualStreamModel:
 
     # -- forward and backward ------------------------------------------
 
-    def forward_batch(self, xr, xc_re, xc_im, dropout_seed=None, cache=True):
+    def forward_batch(self, x, dropout_seed=None, cache=True):
         """Probabilities plus the cache backward_batch reads.
 
-        xr, xc_re, xc_im: [N, S, S, P] patch stacks. Dropout applies only
-        when a dropout_seed is given (a training step); its masks are
-        drawn from a stream keyed by (dropout_seed, layer index) so
-        serial and parallel execution produce identical masks.
+        x: [N, S, S, P] patches. The real stream reads them and the
+        complex stream their band-wise FFT scaled 1/S^2, computed here
+        (spectral.bandwise_fft_arrays); a row's transform does not depend
+        on the rows batched with it. Dropout applies only when a
+        dropout_seed is given (a training step); its masks are drawn from
+        a stream keyed by (dropout_seed, layer index) so serial and
+        parallel execution produce identical masks.
 
-        Every layer computes in its inputs' dtype: the float32 stacks that
-        cli._patch_stacks returns give a float32 forward.
+        Every layer, the FFT too, computes in x's dtype: float32 patches
+        give a float32 forward.
 
         Every ReLU and CReLU is applied in place, and dropout in place on
         its output, so the cache keeps each conv and dense layer's input
@@ -257,18 +260,18 @@ class DualStreamModel:
         exists. The probabilities are those of the cached forward bit for
         bit.
         """
-        n = xr.shape[0]
+        n = x.shape[0]
         store = {"real": [], "cplx": [], "dense": []}
         w = self.layer_views()
 
-        a = xr[..., None]
+        a = x[..., None]
         for kernels, bias in w["real_conv"]:
             out = layers.relu(layers.conv3d_real_batch(a, kernels, bias))
             if cache:
                 store["real"].append((a, out))
             a = out
 
-        ar, ai = xc_re[..., None], xc_im[..., None]
+        ar, ai = (part[..., None] for part in spectral.bandwise_fft_arrays(x))
         for p in w["cplx_conv"]:
             out_re, out_im = map(layers.relu, layers.conv3d_complex_batch(ar, ai, p))
             if cache:
@@ -368,9 +371,9 @@ class DualStreamModel:
             put(g["cplx_conv"][i], dkr, dki, dbr, dbi)
             del dkr, dki
 
-    def predict_batch(self, xr, xc_re, xc_im) -> np.ndarray:
+    def predict_batch(self, x) -> np.ndarray:
         """Zero-based class indices for a patch stack."""
-        probs, _ = self.forward_batch(xr, xc_re, xc_im, cache=False)
+        probs, _ = self.forward_batch(x, cache=False)
         return np.argmax(probs, axis=1)
 
     def find_nonfinite_layer(self, cache) -> str:

@@ -13,8 +13,9 @@ from .errors import ConfigError, DataError, DimensionError, NumericError
 from .schema import above, at_least
 
 LOG_CLAMP = 1e-12
-# evaluate_loss_accuracy sums the loss per batch: another batch changes val_loss in its last bits
-_EVAL_BATCH = 256
+# rows per forward in evaluate_loss_accuracy and cli.predict_samples. The
+# loss is summed per batch, so another batch changes val_loss in its last bits
+INFER_BATCH = 64
 
 
 @dataclass
@@ -58,18 +59,18 @@ def cross_entropy_batch(probs: np.ndarray, onehot: np.ndarray) -> float:
 # one training step's loss and gradient
 
 
-def backward(model, batch, targets, dropout_seed=None, grad=None):
+def backward(model, x, targets, dropout_seed=None, grad=None):
     """Mean batch loss and the gradient of every parameter.
 
-    batch is the (xr, xc_re, xc_im) triple of patch stacks; targets are
-    one-hot rows. The gradient is one flat buffer laid out like
+    x is a [N, S, S, P] patch stack, as forward_batch reads it; targets
+    are one-hot rows. The gradient is one flat buffer laid out like
     model.flat; model.param_entries(grad) names its views. Every view is
     written in full, so a held buffer passed as grad is reused as it is,
     without zeroing; without one a fresh buffer is returned. A
     dropout_seed makes it a training step, with dropout on.
     """
     onehot = np.asarray(targets, dtype=model.flat.dtype)  # a float64 one would widen dlogits
-    probs, cache = model.forward_batch(*batch, dropout_seed=dropout_seed)
+    probs, cache = model.forward_batch(x, dropout_seed=dropout_seed)
     loss = cross_entropy_batch(probs, onehot)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss; first bad layer: {model.find_nonfinite_layer(cache)}")
@@ -146,11 +147,10 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState):
 
 @dataclass
 class PatchSet:
-    """Patch stacks plus labels for one split; labels are 1-based classes."""
+    """The [N, S, S, P] patches of one split, as forward_batch reads them,
+    and their 1-based class labels."""
 
     xr: np.ndarray
-    xc_re: np.ndarray
-    xc_im: np.ndarray
     labels: np.ndarray
 
     def __len__(self):
@@ -168,9 +168,9 @@ def evaluate_loss_accuracy(model, data: PatchSet):
     total_loss = 0.0
     correct = 0
     onehot = data.onehot(model.n_classes)
-    for lo in range(0, n, _EVAL_BATCH):
-        hi = min(lo + _EVAL_BATCH, n)
-        probs, _ = model.forward_batch(data.xr[lo:hi], data.xc_re[lo:hi], data.xc_im[lo:hi], cache=False)
+    for lo in range(0, n, INFER_BATCH):
+        hi = min(lo + INFER_BATCH, n)
+        probs, _ = model.forward_batch(data.xr[lo:hi], cache=False)
         total_loss += _cross_entropy_sum(probs, onehot[lo:hi])
         correct += int((np.argmax(probs, axis=1) == data.labels[lo:hi] - 1).sum())
     return total_loss / n, correct / n
@@ -206,9 +206,9 @@ def fit(model, train_set: PatchSet, val_set: PatchSet, cfg: TrainConfig):
         epoch_loss = 0.0
         for step, lo in enumerate(range(0, len(order), cfg.batch_size)):
             idx = order[lo : lo + cfg.batch_size]
-            batch = (train_set.xr[idx], train_set.xc_re[idx], train_set.xc_im[idx])
             try:
-                loss, _ = backward(model, batch, onehot_all[idx], dropout_seed=(cfg.seed, epoch, step), grad=grad)
+                loss, _ = backward(model, train_set.xr[idx], onehot_all[idx],
+                                   dropout_seed=(cfg.seed, epoch, step), grad=grad)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} step {step + 1}: {exc}") from None
             adam_step(model.flat, grad, state)

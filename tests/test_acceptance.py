@@ -292,6 +292,7 @@ def majority_mask(truth, patch_size):
 
 def test_criterion_8_end_to_end_noiseless(tmp_path, monkeypatch):
     import hsiduo.cli as cli
+    import hsiduo.train as train
     from hsiduo.data import load_cube, load_labels
     from hsiduo.model import ModelConfig
 
@@ -304,7 +305,7 @@ def test_criterion_8_end_to_end_noiseless(tmp_path, monkeypatch):
         return pred
 
     monkeypatch.setattr(cli, "predict_samples", recording_predict)
-    monkeypatch.setattr(cli, "_PREDICT_BATCH", 256)
+    monkeypatch.setattr(train, "INFER_BATCH", 256)
     config = default_config_with(tmp_path)
     rep, hist, data, _ = synth_and_train(tmp_path, 0.0, config, "clean")
     assert len(predictions) == 1  # the test-set evaluation

@@ -41,14 +41,14 @@ def test_benchmark_counters_read_a_traced_fit():
         "from spans import Tracer\n"
         "tracer = Tracer(time.monotonic)\n"
         "tracer.install()\n"
-        "from hsiduo import model, spectral, train\n"
+        "from hsiduo import model, train\n"
         "conv = [model.ConvLayerSpec((3, 3, 3), 2)]\n"
         "cfg = model.ModelConfig(pca_components=4, patch_size=8, real_convs=conv, complex_convs=conv,\n"
         "                        se_ratio=2, dense_widths=[4], dropout_rate=0.2)\n"
         "rng = np.random.default_rng(0)\n"
         "labels = 1 + np.arange(8) % 2\n"
         "xr = rng.normal(0.0, 0.2, size=(8, 8, 8, 4)) + 3.0 * (labels - 1.5)[:, None, None, None]\n"
-        "patches = train.PatchSet(xr, *spectral.bandwise_fft_arrays(xr), labels)\n"
+        "patches = train.PatchSet(xr, labels)\n"
         "net = model.DualStreamModel.build(cfg, 2, rng)\n"
         "start = time.monotonic()\n"
         "net, history = train.fit(net, patches, patches,\n"
@@ -73,7 +73,7 @@ def test_benchmark_counts_prediction_in_the_traced_forward():
         "from spans import Tracer\n"
         "tracer = Tracer(time.monotonic)\n"
         "tracer.install()\n"
-        "from hsiduo import cli, model\n"
+        "from hsiduo import cli, model, train\n"
         "conv = [model.ConvLayerSpec((3, 3, 3), 2)]\n"
         "cfg = model.ModelConfig(pca_components=4, patch_size=8, real_convs=conv, complex_convs=conv,\n"
         "                        se_ratio=2, dense_widths=[4])\n"
@@ -81,7 +81,7 @@ def test_benchmark_counts_prediction_in_the_traced_forward():
         "std = np.random.default_rng(1).normal(size=(12, 10, 4))\n"
         "rows, cols = np.divmod(np.arange(0, 120, 2), 10)\n"
         "start = time.monotonic()\n"
-        "cli._PREDICT_BATCH = 16\n"
+        "train.INFER_BATCH = 16\n"
         "pred = cli.predict_samples(net, std, rows, cols, 8)\n"
         "metrics = tracer.layer_metrics(start, time.monotonic() - start)\n"
         "assert pred.shape == (60,), pred.shape\n"

@@ -911,8 +911,8 @@ def test_map_exits_2_when_the_payload_changes_after_load(tmp_path, dataset, monk
 def test_prediction_does_not_depend_on_the_batch(monkeypatch):
     # the desk scene's 963 test pixels: batches of 7, 64 and 256 leave a
     # ragged last batch, and the untrained model predicts all three classes
-    from hsiduo import cli
-    from hsiduo.data import stratified_split, synth_dataset
+    from hsiduo import cli, train
+    from hsiduo.data import extract_patches_array, stratified_split, synth_dataset
     from hsiduo.model import DualStreamModel, ModelConfig
 
     cube, label_map = synth_dataset(3, 32, 32, 16, 0.1, 0)
@@ -924,16 +924,16 @@ def test_prediction_does_not_depend_on_the_batch(monkeypatch):
     ref = cli.predict_samples(net, std, test.rows, test.cols, config.patch_size)
     assert np.unique(ref).size == 3
     for chunk in (1, 7, 256, 1000):
-        monkeypatch.setattr(cli, "_PREDICT_BATCH", chunk)
+        monkeypatch.setattr(train, "INFER_BATCH", chunk)
         pred = cli.predict_samples(net, std, test.rows, test.cols, config.patch_size)
         assert np.array_equal(pred, ref), chunk
 
-    stacks = cli._patch_stacks(std, test.rows, test.cols, config.patch_size)
+    x = extract_patches_array(std, test.rows, test.cols, config.patch_size)
 
     def probs(batch):
         # the conv kernels split a batch into pieces of 50 samples at the
         # first layer, so batch 64 runs a piece of 14 that 256 does not
-        return np.concatenate([net.forward_batch(*(x[lo : lo + batch] for x in stacks), cache=False)[0]
+        return np.concatenate([net.forward_batch(x[lo : lo + batch], cache=False)[0]
                                for lo in range(0, len(test), batch)])
 
     # the predictor's batch and validation's agree bit for bit; fit's batch
@@ -1012,7 +1012,6 @@ def test_float32_prediction_matches_the_float64_forward(monkeypatch, scene):
     from hsiduo import cli, data
     from hsiduo.data import LabelMap, stratified_split, synth_dataset
     from hsiduo.model import DualStreamModel, ModelConfig
-    from hsiduo.spectral import bandwise_fft_arrays
     from hsiduo.train import fit
 
     config = ModelConfig()
@@ -1045,7 +1044,7 @@ def test_float32_prediction_matches_the_float64_forward(monkeypatch, scene):
     mean, scale = data.standard_scale(reduced)
     xr = data.extract_patches_array((reduced.as_array() - mean) / scale, rows, cols, config.patch_size)
     assert xr.dtype == np.float64
-    want, _ = float64_twin(net).forward_batch(xr, *bandwise_fft_arrays(xr), cache=False)
+    want, _ = float64_twin(net).forward_batch(xr, cache=False)
     assert want.dtype == np.float64
     assert np.abs(got - want).max() < PROB_BOUND
     top2 = np.sort(want, axis=1)[:, -2:]
@@ -1057,8 +1056,8 @@ def test_float32_prediction_matches_the_float64_forward(monkeypatch, scene):
 def test_training_and_prediction_run_in_float32(monkeypatch):
     # every conv kernel, forward and backward, reads float32 inputs and
     # weights in train.fit's backward, in its validation and in the
-    # predictor; the band-wise FFT reads and returns float32 for the
-    # training and validation sets and for each predictor batch
+    # predictor; the band-wise FFT reads and returns float32 once per
+    # forward: each training step, each validation and predictor batch
     from hsiduo import cli, layers, spectral, train
     from hsiduo.data import stratified_split, synth_dataset
     from hsiduo.model import DualStreamModel, ModelConfig
@@ -1105,7 +1104,7 @@ def test_training_and_prediction_run_in_float32(monkeypatch):
 
     sets = [in_phase(name, cli.build_patchset)(std, px, config.patch_size)
             for name, px in (("train set", train_px), ("val set", val_px))]
-    net, _ = train.fit(net, *sets, config.train)
+    net, history = train.fit(net, *sets, config.train)
     flat = net.flat.copy()
     phase[0] = "predict"
     cli.predict_samples(net, std, test_px.rows, test_px.cols, config.patch_size)
@@ -1117,7 +1116,11 @@ def test_training_and_prediction_run_in_float32(monkeypatch):
         mine = [c for c in calls if c[0] == name]
         assert {kernel for _, kernel, _ in mine} == called, name
         assert all(dtypes == {np.dtype(np.float32)} for _, _, dtypes in mine), (name, mine)
-    assert [name for name, _ in ffts] == ["train set", "val set"] + ["predict"] * -(-len(test_px) // 64)
+    epoch = (["backward"] * -(-len(train_px) // config.train.batch_size)
+             + ["evaluate"] * -(-len(val_px) // train.INFER_BATCH))
+    predict = ["predict"] * -(-len(test_px) // train.INFER_BATCH)
+    assert [name for name, _ in ffts] == epoch * len(history) + predict
+    assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in ffts), ffts
     assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in ffts), ffts
 
 

@@ -28,13 +28,16 @@ def test_this_checkout_against_itself_is_byte_identical(tmp_path, capsys, monkey
     monkeypatch.setattr(evidence, "SEEDS", 1)
     monkeypatch.setattr(evidence, "SIZE", (16, 16, 8))
     monkeypatch.setattr(evidence, "CONFIG", str(config))
+    monkeypatch.setattr(evidence, "CRITERIA_EPOCHS", 1)
+    monkeypatch.setattr(evidence, "CRITERIA_REPEATS", 2)
     assert evidence.main([REPO, REPO]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     summary = json.loads(lines[-1])
-    cases = summary.pop("cases")
-    # per noise: synth's 5 files, train's 4, trial's 2 x 4 and its report, 2 maps
+    cases, criteria = summary.pop("cases"), summary.pop("criteria")
+    # per noise: synth's 5 files, train's 4, trial's 2 x 4 and its report, 2
+    # maps; the criteria runs are not artifacts
     assert summary == {"artifacts": 2 * 20, "identical": 2 * 20, "differ": []}
-    artifacts, case_lines = lines[:40], lines[40:-1]
+    artifacts, case_lines, criteria_lines = lines[:40], lines[40:-5], lines[-5:-1]
     assert all(line.startswith("same  ") for line in artifacts)
     assert not any(line.endswith(evidence.SKIPPED) for line in lines)
     # per noise: one line of moved pixels, one of train and one of trial figures
@@ -46,6 +49,14 @@ def test_this_checkout_against_itself_is_byte_identical(tmp_path, capsys, monkey
             parent, change = figures[run]["parent"], figures[run]["change"]
             assert parent == change and sorted(parent) == ["aa", "kappa", "oa"]
             assert 0 <= parent["oa"] <= 1
+    # criterion 8's OA and epochs per noise, criterion 9's OA per SE arm
+    assert criteria["parent"] == criteria["change"]
+    figures = criteria["parent"]
+    names = ["8 noise 0.1", "8 noise 0", "9 se_on", "9 se_off"]
+    assert sorted(figures) == sorted(names)
+    assert figures["8 noise 0"]["epochs"] == figures["8 noise 0.1"]["epochs"] == 1
+    assert all(0 <= figures[arm]["oa_mean"] <= 1 and figures[arm]["oa_std"] >= 0 for arm in ("9 se_on", "9 se_off"))
+    assert [line.split(":")[0] for line in criteria_lines] == [f"criterion {name}" for name in names]
 
 
 def write_ppm(path, pixels):

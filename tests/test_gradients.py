@@ -37,12 +37,12 @@ def tiny_config(channels=2, dense=(4,), dropout=0.4, se_ratio=2, bands=4):
 
 
 def tiny_batch(rng, n=2, bands=4, n_classes=3):
-    xr = rng.normal(size=(n, 8, 8, bands))
-    xc_re = rng.normal(size=(n, 8, 8, bands))
-    xc_im = rng.normal(size=(n, 8, 8, bands))
+    # std 8 = S: the complex stream's input, the band-wise FFT scaled
+    # 1/S^2, then has unit scale
+    xr = rng.normal(scale=8.0, size=(n, 8, 8, bands))
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), rng.integers(0, n_classes, size=n)] = 1.0
-    return (xr, xc_re, xc_im), onehot
+    return xr, onehot
 
 
 def kink_margin(model, batch):
@@ -60,7 +60,7 @@ def kink_margin(model, batch):
 
     names = ("conv3d_real_batch", "conv3d_complex_batch", "dense_batch")
     with mock.patch.multiple(layers, **{name: recording(getattr(layers, name)) for name in names}):
-        model.forward_batch(*batch)
+        model.forward_batch(batch)
     return min(vals[:-1])  # the last dense_batch call gives the head's logits
 
 
@@ -100,10 +100,10 @@ def fd_check(model, batch, onehot, grads, indices_per_param=None, rng=None):
         for k in idx:
             orig = flat[k]
             flat[k] = orig + FD_H
-            p1, _ = model.forward_batch(*batch)
+            p1, _ = model.forward_batch(batch)
             l1 = cross_entropy_batch(p1, onehot)
             flat[k] = orig - FD_H
-            p2, _ = model.forward_batch(*batch)
+            p2, _ = model.forward_batch(batch)
             l2 = cross_entropy_batch(p2, onehot)
             flat[k] = orig
             fd = (l1 - l2) / (2 * FD_H)
@@ -132,7 +132,7 @@ def test_gradient_property_over_20_seeds():
 def test_float32_gradients_agree_with_float64():
     # the desk scene's 7 training pixels, one training step with dropout:
     # the float32 gradient of every parameter against the float64 one at
-    # the same weights and patch stacks (measured at most 7.3e-7)
+    # the same weights and patches (measured at most 7.3e-7)
     from hsiduo import cli
     from hsiduo.data import stratified_split, synth_dataset
 
@@ -143,12 +143,11 @@ def test_float32_gradients_agree_with_float64():
     ps = cli.build_patchset(std, train_px, config.patch_size)
     model = DualStreamModel.build(config, 3, np.random.default_rng(np.random.SeedSequence([0, 0x1D17])))
     twin = float64_twin(model)
-    batch = (ps.xr, ps.xc_re, ps.xc_im)
-    assert all(x.dtype == np.float32 for x in batch) and len(ps) == 7
+    assert ps.xr.dtype == np.float32 and len(ps) == 7
 
     step = {"dropout_seed": (0, 1, 0)}
-    _, g32 = backward(model, batch, ps.onehot(3), **step)
-    _, g64 = backward(twin, tuple(x.astype(np.float64) for x in batch), ps.onehot(3), **step)
+    _, g32 = backward(model, ps.xr, ps.onehot(3), **step)
+    _, g64 = backward(twin, ps.xr.astype(np.float64), ps.onehot(3), **step)
     assert g32.dtype == np.float32 and g64.dtype == np.float64
     for (name, a), (_, b) in zip(model.param_entries(g32), twin.param_entries(g64)):
         assert np.linalg.norm(a - b) <= 1e-4 * np.linalg.norm(b), name
@@ -186,8 +185,9 @@ def test_complex_conv_gradients_match_expanded_four_real_convs():
     p = ComplexWeights(kr, ki, br, bi)
 
     out_re, out_im = conv3d_complex_batch(xr, xi, p)
-    exp_re = conv3d_real_batch(xr, kr, None) - conv3d_real_batch(xi, ki, None) + br
-    exp_im = conv3d_real_batch(xr, ki, None) + conv3d_real_batch(xi, kr, None) + bi
+    zero = np.zeros(3)
+    exp_re = conv3d_real_batch(xr, kr, zero) - conv3d_real_batch(xi, ki, zero) + br
+    exp_im = conv3d_real_batch(xr, ki, zero) + conv3d_real_batch(xi, kr, zero) + bi
     assert np.abs(out_re - exp_re).max() < 1e-10
     assert np.abs(out_im - exp_im).max() < 1e-10
 
@@ -216,7 +216,7 @@ def test_saturated_softmax_is_stationary():
     dict(model.param_entries())["head.bias"][0] = 200.0
     batch, _ = tiny_batch(rng, n=1)
     onehot = np.array([[1.0, 0.0, 0.0]])
-    probs, _ = model.forward_batch(*batch)
+    probs, _ = model.forward_batch(batch)
     assert probs[0, 0] > 1.0 - 1e-12
     _, grads = backward(model, batch, onehot)
     total = np.sqrt(sum(float((g**2).sum()) for _, g in model.param_entries(grads)))
@@ -230,7 +230,7 @@ def test_first_adam_step_does_not_increase_loss():
         batch, onehot = tiny_batch(rng, n=1)
         loss0, grads = backward(model, batch, onehot)
         adam_step(model.flat, grads, AdamState(model.flat, lr=1e-4))
-        probs, _ = model.forward_batch(*batch)
+        probs, _ = model.forward_batch(batch)
         loss1 = cross_entropy_batch(probs, onehot)
         assert loss1 <= loss0 + 1e-12
 
@@ -253,7 +253,7 @@ def test_training_dropout_gradients_match_fd_with_fixed_mask():
     loss, grads = backward(model, batch, onehot, dropout_seed=seed_tuple)
 
     def loss_with_mask():
-        probs, _ = model.forward_batch(*batch, dropout_seed=seed_tuple)
+        probs, _ = model.forward_batch(batch, dropout_seed=seed_tuple)
         return cross_entropy_batch(probs, onehot)
 
     worst = 0.0

@@ -18,6 +18,7 @@ from hsiduo.layers import (
     softmax,
 )
 from hsiduo.model import ConvLayerSpec, DualStreamModel, ModelConfig
+from hsiduo.spectral import bandwise_fft_arrays
 
 
 def conv_real(x, k, b):
@@ -36,17 +37,18 @@ def se_single(u, w1, w2):
     return out[0], z[0], s[0]
 
 
-def fusion_cache(xr, xc_re, xc_im, complex_bands=None):
+def fusion_cache(x, complex_bands=None, real_weight=1.0, complex_weight=1.0):
     """forward_batch's cache for a model whose streams pass their inputs
     through: one 1x1xd conv per stream with weight 1 at depth offset 0 and
     zero bias, no SE block and no hidden layer. The fused map then holds
-    ReLU(xr), then CReLU's re part, then its im part, of the first
-    complex_bands bands of the complex input."""
-    bands = xr.shape[-1]
+    ReLU(x), then CReLU's re part, then its im part, of the first
+    complex_bands bands of x's band-wise FFT. A stream weight of 0
+    silences that stream."""
+    bands = x.shape[-1]
     complex_bands = bands if complex_bands is None else complex_bands
     cfg = ModelConfig(
         pca_components=bands,
-        patch_size=xr.shape[1],
+        patch_size=x.shape[1],
         real_convs=[ConvLayerSpec((1, 1, 1), 1)],
         complex_convs=[ConvLayerSpec((1, 1, bands - complex_bands + 1), 1)],
         se_enabled=False,
@@ -55,10 +57,27 @@ def fusion_cache(xr, xc_re, xc_im, complex_bands=None):
     )
     model = DualStreamModel(cfg, 2)  # all-zero weights
     params = dict(model.param_entries())
-    params["real_conv0.kernels"][...] = 1.0
-    params["cplx_conv0.kernels_re"][:, :, 0] = 1.0
-    _, cache = model.forward_batch(xr, xc_re, xc_im)
+    params["real_conv0.kernels"][...] = real_weight
+    params["cplx_conv0.kernels_re"][:, :, 0] = complex_weight
+    _, cache = model.forward_batch(x)
     return cache
+
+
+def streams(x, complex_bands=None):
+    """What fusion_cache's fused map holds, computed apart from the model:
+    ReLU(x) and CReLU's (re, im) of the first complex_bands bands of the
+    band-wise FFT of x."""
+    re, im = bandwise_fft_arrays(x)
+    return tuple(np.maximum(a, 0.0) for a in (x, re[..., :complex_bands], im[..., :complex_bands]))
+
+
+def patches_with_spectrum(spectrum):
+    """Real one-band patches [N, S, S, 1] whose band-wise FFT (scaled
+    1/S^2) is spectrum [N, S, S] up to rounding; spectrum is Hermitian."""
+    s = spectrum.shape[1]
+    x = np.fft.ifft2(spectrum, axes=(1, 2)) * (s * s)
+    assert np.abs(x.imag).max() < 1e-12
+    return x.real[..., None]
 
 
 def conv_oracle(x, k, b):
@@ -424,50 +443,68 @@ def test_sigmoid_is_bitwise_the_masked_branches(dtype, bits):
     assert np.array_equal(got[~nan].view(bits), want[~nan].view(bits))
 
 
-def crelu_through_model(re, im):
-    """CReLU as forward_batch applies it after the complex conv: the last
-    two fused channels of a one-band pass-through model."""
-    fused = fusion_cache(np.zeros_like(re), re, im)["fused"]
-    return fused[..., 1:2], fused[..., 2:3]
+def crelu_through_model(x):
+    """CReLU as forward_batch applies it after the complex conv, on the
+    one-band patches x: the (re, im) the complex stream read, the band-wise
+    FFT of x, and the last two fused channels of a pass-through model."""
+    cache = fusion_cache(x)
+    xr, xi = cache["cplx"][0][:2]  # [N, S, S, 1, 1]: one input channel
+    return (xr[..., 0], xi[..., 0]), (cache["fused"][..., 1:2], cache["fused"][..., 2:3])
 
 
 def test_crelu_cases():
-    # one sample per case, constant over the 2x2 patch
-    re = np.array([1.0, -1.0, -1.0])[:, None, None, None] * np.ones((3, 2, 2, 1))
-    im = np.array([2.0, 2.0, -2.0])[:, None, None, None] * np.ones((3, 2, 2, 1))
-    out_re, out_im = crelu_through_model(re, im)
-    assert list(out_re[:, 0, 0, 0]) == [1.0, 0.0, 0.0]
-    assert list(out_im[:, 0, 0, 0]) == [2.0, 2.0, 0.0]
+    # one 4x4 patch whose spectrum holds 1 + 2i, -1 + 2i, -1 - 2i and
+    # 1 - 2i (four conjugate bins), 0 elsewhere
+    spectrum = np.zeros((1, 4, 4), dtype=complex)
+    spectrum[0, 0, 1], spectrum[0, 1, 0] = 1 + 2j, -1 + 2j
+    spectrum[0, 0, 3], spectrum[0, 3, 0] = np.conj(spectrum[0, 0, 1]), np.conj(spectrum[0, 1, 0])
+    (re, im), (out_re, out_im) = crelu_through_model(patches_with_spectrum(spectrum))
+    assert np.array_equal(out_re, np.maximum(re, 0.0)) and np.array_equal(out_im, np.maximum(im, 0.0))
+    bins = [(0, 1), (1, 0), (3, 0), (0, 3)]
+    got = [(out_re[0, k, l, 0], out_im[0, k, l, 0]) for k, l in bins]
+    assert np.allclose(got, [(1.0, 2.0), (0.0, 2.0), (0.0, 0.0), (1.0, 0.0)], rtol=0.0, atol=1e-12)
 
 
 def test_crelu_idempotent_and_real_axis():
+    # a second pass-through complex layer applies CReLU to CReLU's output
     rng = np.random.default_rng(6)
-    re, im = rng.normal(size=(3, 2, 2, 1)), rng.normal(size=(3, 2, 2, 1))
-    once = crelu_through_model(re, im)
-    twice = crelu_through_model(*once)
-    assert np.array_equal(once[0], twice[0]) and np.array_equal(once[1], twice[1])
-    x = rng.normal(size=(4, 2, 2, 1))
-    on_axis = crelu_through_model(x, np.zeros_like(x))
-    assert np.array_equal(on_axis[0], relu(x.copy()))
-    assert np.all(on_axis[1] == 0)
+    x = rng.normal(size=(3, 4, 4, 1))
+    cfg = ModelConfig(pca_components=1, patch_size=4, real_convs=[ConvLayerSpec((1, 1, 1), 1)],
+                      complex_convs=[ConvLayerSpec((1, 1, 1), 1)] * 2, se_enabled=False,
+                      dense_widths=[], dropout_rate=0.0)
+    model = DualStreamModel(cfg, 2)
+    params = dict(model.param_entries())
+    params["cplx_conv0.kernels_re"][...] = params["cplx_conv1.kernels_re"][...] = 1.0
+    _, cache = model.forward_batch(x)
+    (_, _, once_re, once_im), (_, _, twice_re, twice_im) = cache["cplx"]
+    assert np.array_equal(once_re, twice_re) and np.array_equal(once_im, twice_im)
+    # the DC bin's twiddles are exactly 1 + 0i, so it lies on the real axis:
+    # CReLU is ReLU there and leaves no imaginary part
+    (re, im), (out_re, out_im) = crelu_through_model(rng.normal(size=(8, 4, 4, 1)))
+    dc = (slice(None), 0, 0)
+    assert np.all(im[dc] == 0) and np.any(re[dc] < 0) and np.any(re[dc] > 0)
+    assert np.array_equal(out_re[dc], relu(re[dc].copy()))
+    assert np.all(out_im[dc] == 0)
 
 
 def test_fuse_streams_zero_complex():
+    # a complex stream that outputs zeros still holds its channel slots
     rng = np.random.default_rng(7)
     real = rng.normal(size=(1, 2, 2, 3))
-    fused = fusion_cache(real, np.zeros((1, 2, 2, 3)), np.zeros((1, 2, 2, 3)), complex_bands=2)["fused"]
+    fused = fusion_cache(real, complex_bands=2, complex_weight=0.0)["fused"]
     assert fused.shape == (1, 2, 2, 7)
     assert np.array_equal(fused[..., :3], relu(real.copy()))
     assert np.all(fused[..., 3:] == 0)
 
 
 def test_fuse_streams_empty_real():
-    # a real stream that ReLU silences still holds its channel slots, and
+    # a real stream that is silenced still holds its channel slots, and
     # the complex channels follow it unchanged
     rng = np.random.default_rng(8)
-    re, im = rng.uniform(0.1, 1.0, size=(1, 2, 2, 2)), rng.uniform(0.1, 1.0, size=(1, 2, 2, 2))
-    fused = fusion_cache(-np.ones((1, 2, 2, 2)), re, im)["fused"]
-    assert fused.shape == (1, 2, 2, 6)
+    x = rng.normal(size=(1, 4, 4, 2))
+    _, re, im = streams(x)
+    fused = fusion_cache(x, real_weight=0.0)["fused"]
+    assert fused.shape == (1, 4, 4, 6)
     assert np.all(fused[..., :2] == 0)
     assert np.array_equal(fused[..., 2:4], re)
     assert np.array_equal(fused[..., 4:], im)
@@ -475,12 +512,12 @@ def test_fuse_streams_empty_real():
 
 def test_fuse_streams_random_elementwise():
     rng = np.random.default_rng(9)
-    real = rng.normal(size=(1, 2, 2, 3))
-    re, im = rng.normal(size=(1, 2, 2, 3)), rng.normal(size=(1, 2, 2, 3))
-    out = fusion_cache(real, re, im, complex_bands=2)["fused"][0]
-    real, re, im = real[0], re[0], im[0]
-    for i in range(2):
-        for j in range(2):
+    x = rng.normal(size=(1, 4, 4, 3))
+    re, im = bandwise_fft_arrays(x)
+    out = fusion_cache(x, complex_bands=2)["fused"][0]
+    real, re, im = x[0], re[0], im[0]
+    for i in range(4):
+        for j in range(4):
             for c in range(7):
                 if c < 3:
                     want = max(real[i, j, c], 0.0)
@@ -600,9 +637,9 @@ def test_dropout_contract():
                       complex_convs=[ConvLayerSpec((1, 1, 1), 2)], se_ratio=2, dense_widths=[8],
                       dropout_rate=0.7)
     model = DualStreamModel.build(cfg, 2, rng=np.random.default_rng(2))
-    xs = [rng.normal(size=(3, 2, 2, 2)) for _ in range(3)]
-    eval_a, cache = model.forward_batch(*xs)
-    eval_b, _ = model.forward_batch(*xs, cache=False)
+    x = rng.normal(size=(3, 2, 2, 2))
+    eval_a, cache = model.forward_batch(x)
+    eval_b, _ = model.forward_batch(x, cache=False)
     assert np.array_equal(eval_a, eval_b) and cache["dense"][0][2] is None
     with pytest.raises(ConfigError, match="dropout_rate"):
         ModelConfig(dropout_rate=1.0).validate()

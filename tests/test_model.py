@@ -17,7 +17,8 @@ from hsiduo.model import (
     save_checkpoint,
 )
 from hsiduo.train import AdamState, adam_step
-from test_layers import fusion_cache
+from hsiduo.spectral import bandwise_fft_arrays
+from test_layers import fusion_cache, streams
 
 
 def small_config():
@@ -205,12 +206,9 @@ def test_streams_must_align_spatially():
 
 
 def patch_batch(n, config, seed):
-    """A random [N, S, S, P] real patch stack and its band-wise FFT."""
-    from hsiduo.spectral import bandwise_fft_arrays
-
+    """A random [N, S, S, P] patch stack."""
     s, p = config.patch_size, config.pca_components
-    xr = np.random.default_rng(seed).normal(size=(n, s, s, p))
-    return (xr, *bandwise_fft_arrays(xr))
+    return np.random.default_rng(seed).normal(size=(n, s, s, p))
 
 
 @pytest.mark.parametrize("config, n", [(ModelConfig(), 256), (small_config(), 40)],
@@ -218,13 +216,37 @@ def patch_batch(n, config, seed):
 def test_cacheless_forward_gives_the_cached_probabilities(config, n):
     model = DualStreamModel.build(config, 9, np.random.default_rng(4))
     batch = patch_batch(n, config, 5)
-    before = [x.copy() for x in batch]
-    cached, cache = model.forward_batch(*batch)
-    bare, none = model.forward_batch(*batch, cache=False)
+    before = batch.copy()
+    cached, cache = model.forward_batch(batch)
+    bare, none = model.forward_batch(batch, cache=False)
     assert cache is not None and none is None
     assert np.array_equal(bare, cached)
-    assert np.array_equal(model.predict_batch(*batch), np.argmax(cached, axis=1))
-    assert all(np.array_equal(x, y) for x, y in zip(batch, before))  # in-place ReLU spares the inputs
+    assert np.array_equal(model.predict_batch(batch), np.argmax(cached, axis=1))
+    assert np.array_equal(batch, before)  # in-place ReLU spares the input
+
+
+def test_complex_stream_reads_the_bandwise_fft_of_its_patches():
+    config = ModelConfig()
+    model = DualStreamModel.build(config, 9, np.random.default_rng(10))
+    x = patch_batch(16, config, 11).astype(np.float32)
+    _, cache = model.forward_batch(x)
+    xr, xi = cache["cplx"][0][:2]
+    for got, want in zip((xr, xi), bandwise_fft_arrays(x)):
+        assert got.dtype == np.float32 and got.shape == (*x.shape, 1)
+        assert np.array_equal(got.view(np.uint32), want[..., None].view(np.uint32))
+
+
+def test_bandwise_fft_rows_do_not_depend_on_the_batch():
+    # training transforms a batch of 16 (or fewer) patches per step and
+    # prediction 64 at a time: each row's bits are those of one call on
+    # the whole set
+    x = patch_batch(128, ModelConfig(), 12).astype(np.float32)
+    whole = bandwise_fft_arrays(x)
+    rng = np.random.default_rng(13)
+    for k in (1, 7, 16, 64):
+        rows = np.sort(rng.choice(128, size=k, replace=False))
+        for part, full in zip(bandwise_fft_arrays(x[rows]), whole):
+            assert np.array_equal(part.view(np.uint32), full[rows].view(np.uint32)), k
 
 
 def test_warm_prediction_keeps_no_backward_cache():
@@ -233,8 +255,8 @@ def test_warm_prediction_keeps_no_backward_cache():
     config = ModelConfig()
     model = DualStreamModel.build(config, 9, np.random.default_rng(6))
     batch = patch_batch(256, config, 7)  # 6 MiB of input
-    model.predict_batch(*batch)  # warm: the conv kernels' scratch is held from here on
-    _, peak = traced_peak(model.predict_batch, *batch)
+    model.predict_batch(batch)  # warm: the conv kernels' scratch is held from here on
+    _, peak = traced_peak(model.predict_batch, batch)
     # the cached forward peaks at 42 MiB here, the cacheless one at about 13
     assert peak < 16 * 2**20
 
@@ -244,7 +266,7 @@ def test_training_forward_caches_each_output_as_the_next_input():
     # dense output is post-activation and is the array the next layer reads
     config = replace(small_config(), dense_widths=[6, 5])
     model = DualStreamModel.build(config, 9, np.random.default_rng(8))
-    _, cache = model.forward_batch(*patch_batch(12, config, 9), dropout_seed=(3,))
+    _, cache = model.forward_batch(patch_batch(12, config, 9), dropout_seed=(3,))
     chains = [
         [(x, out) for x, out in cache["real"]],
         [(xr, out_re) for xr, _, out_re, _ in cache["cplx"]],
@@ -273,17 +295,21 @@ def value_at(shape, flat, idx):
 
 def test_concat_single_elements():
     # one band per stream: every fused pixel is [real, re, im]
-    fused = fusion_cache(np.full((1, 2, 2, 1), 2.0), np.full((1, 2, 2, 1), 3.0),
-                         np.full((1, 2, 2, 1), 4.0))["fused"]
+    x = np.array([[2.0, -3.0], [1.0, 4.0]])[None, :, :, None]
+    fused = fusion_cache(x)["fused"]
+    real, re, im = streams(x)
     assert fused.shape == (1, 2, 2, 3)
-    assert list(fused[0, 1, 0]) == [2.0, 3.0, 4.0]
+    for i in range(2):
+        for j in range(2):
+            assert list(fused[0, i, j]) == [real[0, i, j, 0], re[0, i, j, 0], im[0, i, j, 0]]
+    assert list(fused[0, 0, 0]) == [2.0, 1.0, 0.0]  # the DC bin: the patch mean, exactly
 
 
 def test_concat_random_against_index_oracle():
     rng = np.random.default_rng(1)
-    real = rng.uniform(0.0, 1.0, size=(1, 2, 2, 5))
-    re, im = rng.uniform(0.0, 1.0, size=(2, 1, 2, 2, 5))
-    cache = fusion_cache(real, re, im, complex_bands=3)
+    x = rng.uniform(-1.0, 1.0, size=(1, 2, 2, 5))
+    real, re, im = streams(x, complex_bands=3)
+    cache = fusion_cache(x, complex_bands=3)
     fused = cache["fused"][0]
     assert fused.shape == (2, 2, 11)
     flat = fused.reshape(-1)
@@ -294,36 +320,40 @@ def test_concat_random_against_index_oracle():
                 if c < 5:
                     want = value_at((2, 2, 5), real[0].reshape(-1), (i, j, c))
                 elif c < 8:
-                    want = value_at((2, 2, 5), re[0].reshape(-1), (i, j, c - 5))
+                    want = value_at((2, 2, 3), re[0].reshape(-1), (i, j, c - 5))
                 else:
-                    want = value_at((2, 2, 5), im[0].reshape(-1), (i, j, c - 8))
+                    want = value_at((2, 2, 3), im[0].reshape(-1), (i, j, c - 8))
                 assert got == want
 
 
 def test_complex_to_real_unit_case():
-    cache = fusion_cache(np.zeros((1, 2, 2, 1)), np.ones((1, 2, 2, 1)), np.zeros((1, 2, 2, 1)))
+    # an impulse of S^2 at the origin has the all-ones spectrum, exactly:
+    # every bin reads the twiddle w[0] = 1 + 0i
+    x = np.zeros((1, 4, 4, 1))
+    x[0, 0, 0, 0] = 16.0
+    cache = fusion_cache(x)
     fused = cache["fused"]
-    assert fused.shape == (1, 2, 2, 3)
+    assert fused.shape == (1, 4, 4, 3)
     assert np.all(fused[..., 1] == 1.0)
     assert np.all(fused[..., 2] == 0.0)
 
 
 def test_complex_to_real_zero():
     zeros = np.zeros((2, 2, 2, 2))
-    assert np.all(fusion_cache(zeros, zeros, zeros)["fused"] == 0.0)
+    assert np.all(fusion_cache(zeros)["fused"] == 0.0)
 
 
 def test_complex_to_real_random_against_loop():
     rng = np.random.default_rng(2)
-    re = rng.uniform(0.0, 1.0, size=(1, 2, 2, 2))
-    im = rng.uniform(0.0, 1.0, size=(1, 2, 2, 2))
-    fused = fusion_cache(np.zeros((1, 2, 2, 2)), re, im)["fused"][0]
-    assert fused.shape == (2, 2, 6)
-    for i in range(2):
-        for j in range(2):
+    x = rng.normal(size=(1, 4, 4, 2))
+    re, im = bandwise_fft_arrays(x)
+    fused = fusion_cache(x)["fused"][0]
+    assert fused.shape == (4, 4, 6)
+    for i in range(4):
+        for j in range(4):
             for c in range(4):
                 got = fused[i, j, 2 + c]
-                want = re[0, i, j, c] if c < 2 else im[0, i, j, c - 2]
+                want = max(re[0, i, j, c], 0.0) if c < 2 else max(im[0, i, j, c - 2], 0.0)
                 assert got == want
 
 
@@ -332,12 +362,13 @@ def test_concat_then_slice_recovers_inputs():
     # channels end, read off the shapes of the cached outputs; the same
     # cut recovers each stream's features from the fused map
     rng = np.random.default_rng(6)
-    real, re, im = rng.uniform(0.0, 1.0, size=(3, 2, 2, 2, 4))
-    cache = fusion_cache(real, re, im)
+    x = rng.normal(size=(2, 4, 4, 4))
+    cache = fusion_cache(x)
     c_real = prod(cache["real"][-1][1].shape[3:])
     c_cplx = prod(cache["cplx"][-1][2].shape[3:])
     assert (c_real, c_cplx) == (4, 4)
     fused = cache["fused"]
+    real, re, im = streams(x)
     assert np.array_equal(fused[..., :c_real], real)
     assert np.array_equal(fused[..., c_real : c_real + c_cplx], re)
     assert np.array_equal(fused[..., c_real + c_cplx :], im)

@@ -6,7 +6,6 @@ import pytest
 from hsiduo import train
 from hsiduo.errors import ConfigError, DataError, DimensionError
 from hsiduo.model import ConvLayerSpec, DualStreamModel, ModelConfig
-from hsiduo.spectral import bandwise_fft_arrays
 from hsiduo.train import (
     AdamState,
     PatchSet,
@@ -39,8 +38,7 @@ def toy_patchset(rng, n, n_classes=2, bands=4, offset=3.0):
     xr = rng.normal(0.0, 0.2, size=(n, 8, 8, bands))
     for i, lab in enumerate(labels):
         xr[i] += (lab - 1) * offset - offset / 2
-    re, im = bandwise_fft_arrays(xr)
-    return PatchSet(xr, re, im, labels.astype(np.int32))
+    return PatchSet(xr, labels.astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +253,7 @@ def test_fit_returns_best_observed_checkpoint():
 def test_fit_rejects_empty_sets():
     rng = np.random.default_rng(5)
     data = toy_patchset(rng, 4)
-    empty = PatchSet(data.xr[:0], data.xc_re[:0], data.xc_im[:0], data.labels[:0])
+    empty = PatchSet(data.xr[:0], data.labels[:0])
     model = DualStreamModel.build(small_config(), 2, rng)
     with pytest.raises(DataError):
         fit(model, empty, data, TrainConfig())
